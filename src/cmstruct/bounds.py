@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .graphs import EdgeColoring, Graph, color_class, components
 from .loss import VertexClass, classify_vertices
-from .search import require_no_connected_matching, require_no_monochromatic_cm
+from .search import require_no_connected_matching
 
 
 def erdos_gallai_check(g: Graph, n: int) -> tuple[bool, Fraction]:
@@ -178,6 +178,17 @@ class AuditReport:
         return tuple(out)
 
 
+def _induced_coloring(
+    g: Graph, coloring: EdgeColoring, vertices: list[int]
+) -> tuple[Graph, EdgeColoring]:
+    """Subgraph induced on ``vertices``, relabeled, with its coloring."""
+    sub, ids = g.induced(vertices)
+    return sub, EdgeColoring(
+        coloring.color_count,
+        {e: coloring.color_of(ids[e[0]], ids[e[1]]) for e in sub.edges},
+    )
+
+
 def audit_coloring(
     params: AuditParams, g: Graph, coloring: EdgeColoring
 ) -> AuditReport:
@@ -188,7 +199,7 @@ def audit_coloring(
     input satisfying every hypothesis, at least one later step must fail.
     """
     k, eps, delta, n = params.k, params.epsilon, params.delta, params.n
-    require_no_monochromatic_cm(g, coloring, n)
+    classes = classify_vertices(g, coloring, n)
     hypotheses = tuple(check_hypotheses(params, g, coloring))
 
     degree_floor = Fraction(2 * k - 1, 2) * n
@@ -196,7 +207,6 @@ def audit_coloring(
         v for v in range(g.vertex_count) if g.degree(v) < degree_floor
     )
     low_cap = delta * k**2 * n / eps if eps else Fraction(0)
-    classes = classify_vertices(g, coloring, n)
     strong = frozenset(
         v
         for v in range(g.vertex_count)
@@ -212,14 +222,7 @@ def audit_coloring(
     qsat_survivors = [v for v in survivors if classes[v] is VertexClass.Q_SATURATED]
     max_comp = 0
     if qsat_survivors:
-        sub, _ = g.induced(qsat_survivors)
-        sub_coloring = EdgeColoring(
-            coloring.color_count,
-            {
-                e: coloring.color_of(qsat_survivors[e[0]], qsat_survivors[e[1]])
-                for e in sub.edges
-            },
-        )
+        sub, sub_coloring = _induced_coloring(g, coloring, qsat_survivors)
         for color in range(1, coloring.color_count + 1):
             sizes = components(color_class(sub, sub_coloring, color)).sizes
             if sizes:
@@ -231,14 +234,7 @@ def audit_coloring(
     sc_ok = True
     if residual_ok and residual_required.denominator == 1:
         trimmed = survivors[: int(residual_required)]
-        sub, _ = g.induced(trimmed)
-        sub_coloring = EdgeColoring(
-            coloring.color_count,
-            {
-                e: coloring.color_of(trimmed[e[0]], trimmed[e[1]])
-                for e in sub.edges
-            },
-        )
+        sub, sub_coloring = _induced_coloring(g, coloring, trimmed)
         sc_applicable, sc_ok, _ = small_components_bound(sub, sub_coloring, k, n)
 
     qsat_loss = {

@@ -13,6 +13,9 @@ from typing import Iterable, Mapping
 
 from .errors import ColorRangeError, GraphFormatError
 
+# Largest vertex count parse_graph accepts; Graph builds one list per vertex.
+MAX_VERTICES = 10**6
+
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -240,6 +243,10 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
                 raise GraphFormatError(f"bad header {line!r}", lineno) from None
             if vertex_count < 0 or color_count < 1:
                 raise GraphFormatError("header requires N >= 0 and k >= 1", lineno)
+            if vertex_count > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"header N = {vertex_count} exceeds {MAX_VERTICES}", lineno
+                )
         elif parts[0] == "e":
             if vertex_count is None or color_count is None:
                 raise GraphFormatError("edge before header", lineno)

@@ -124,14 +124,14 @@ def classify_vertices(
     A vertex is strong when some color puts it in S, Q-saturated when every
     color puts it in Q, and small otherwise.
     """
-    require_no_monochromatic_cm(g, coloring, n)
-    per_color = _per_color_partitions(g, coloring, n)
-    return _classify(g, per_color)
+    return _classify(g, _color_partitions(g, coloring, n))
 
 
-def _per_color_partitions(
+def _color_partitions(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> dict[int, tuple[SQIPartition, ...]]:
+    """S/Q/I partitions of every color class, after the detection guard."""
+    require_no_monochromatic_cm(g, coloring, n)
     return {
         color: tuple(component_partitions(color_class(g, coloring, color), n))
         for color in range(1, coloring.color_count + 1)
@@ -167,40 +167,20 @@ def F_graph(g: Graph, coloring: EdgeColoring, n: int) -> Fraction:
     return Fraction(coloring.color_count * (n - 1), 2) * g.vertex_count - g.edge_count
 
 
-def F_vertex(
-    g: Graph,
-    coloring: EdgeColoring,
-    n: int,
-    degree_offset: int = 0,
-) -> dict[int, Fraction]:
-    """Per-vertex multicolor loss.
+def F_vertex(g: Graph, coloring: EdgeColoring, n: int) -> dict[int, Fraction]:
+    """Per-vertex multicolor loss: ``(n-1)/4`` for strong vertices,
+    ``k * (n-1)/2 - deg(v)/2`` for Q-saturated ones, 0 for small ones.
 
-    ``degree_offset`` exists for the audit trail only: with offset 1 the
-    Q-saturated formula uses ``(deg(v) - 1)/2`` instead of ``deg(v)/2``.
+    These are the ``per_vertex`` values of check_F_inequality's ledger.
     """
-    require_no_monochromatic_cm(g, coloring, n)
-    k = coloring.color_count
-    classes = classify_vertices(g, coloring, n)
-    values: dict[int, Fraction] = {}
-    for v in range(g.vertex_count):
-        cls = classes[v]
-        if cls is VertexClass.STRONG:
-            values[v] = Fraction(n - 1, 4)
-        elif cls is VertexClass.Q_SATURATED:
-            values[v] = Fraction(k * (n - 1), 2) - Fraction(
-                g.degree(v) - degree_offset, 2
-            )
-        else:
-            values[v] = Fraction(0)
-    return values
+    return dict(check_F_inequality(g, coloring, n)[1].per_vertex)
 
 
 def check_F_inequality(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> tuple[bool, LossLedger]:
     """Multicolor analogue of check_f_inequality."""
-    require_no_monochromatic_cm(g, coloring, n)
-    per_color = _per_color_partitions(g, coloring, n)
+    per_color = _color_partitions(g, coloring, n)
     classes = _classify(g, per_color)
     k = coloring.color_count
     values: dict[int, Fraction] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, components
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -216,20 +216,3 @@ def tutte_berge(g: Graph) -> DeficiencyWitness:
     assert len(odd) - len(witness) == deficiency, "witness certificate failed"
     return DeficiencyWitness(witness, deficiency, tuple(odd))
 
-
-def connected_matching_number(g: Graph) -> tuple[int, frozenset[int]]:
-    """Largest matching living inside a single component, with that component.
-
-    Ties are broken toward the component containing the smallest vertex id.
-    """
-    best = 0
-    best_comp: frozenset[int] = frozenset()
-    first = True
-    for comp in components(g).vertex_sets():
-        sub, _ = g.induced(comp)
-        nu = matching_number(sub)
-        if first or nu > best:
-            best = nu
-            best_comp = comp
-            first = False
-    return best, best_comp

@@ -74,15 +74,15 @@ def sqi_partition(g: Graph, n: int) -> SQIPartition:
         raise OddNError(f"n must be an even integer >= 2, got {n}")
     if g.vertex_count == 0 or components(g).count != 1:
         raise NotConnectedError("partition requires a connected, nonempty graph")
+    v = g.vertex_count
+    if v <= n - 1:
+        # 2 nu <= v < n, so no matching of size n/2 fits.
+        return SQIPartition(frozenset(), frozenset(range(v)), frozenset(), n)
     nu = matching_number(g)
     if nu >= n // 2:
         raise HasLargeMatchingError(
             f"graph has a matching of size {nu} >= {n // 2}"
         )
-
-    v = g.vertex_count
-    if v <= n - 1:
-        return SQIPartition(frozenset(), frozenset(range(v)), frozenset(), n)
 
     wit = tutte_berge(g)
     s = set(wit.witness)

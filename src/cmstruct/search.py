@@ -16,6 +16,7 @@ deterministic.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -351,7 +352,10 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
     worker_cfg = replace(cfg, threads=1, node_budget=share)
     exhausted = False
     nodes = 0
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    # The pool starts every worker up front, so never ask for more than
+    # there are subtrees or CPUs.
+    workers = min(cfg.threads, len(prefixes), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for result in pool.map(
             _run_subtree, [worker_cfg] * len(prefixes), prefixes
         ):

@@ -157,3 +157,21 @@ def test_audit_reports_both_qsat_loss_variants():
     std, shifted = report.qsat_loss[0]
     assert std == Fraction(2 * 3, 2) - 1
     assert shifted == std + Fraction(1, 2)
+
+
+def test_audit_survivor_branches():
+    # K_3 on {1, 2, 3} plus the isolated vertex 0: only vertex 0 has degree
+    # below (k - 1/2) n = 2, and the triangle survives as one component.
+    g = disjoint_union([Graph(1, frozenset()), complete_graph(3)])
+    assert g.edges == {(1, 2), (1, 3), (2, 3)}
+    coloring = EdgeColoring(1, {e: 1 for e in g.edges})
+    params = AuditParams(1, Fraction(1, 2), Fraction(0), 4)
+    report = audit_coloring(params, g, coloring)
+    assert report.low_degree == frozenset({0})
+    assert report.strong_survivors == frozenset()
+    assert report.residual_count == 3
+    assert report.residual_ok
+    assert report.residual_max_component == 3
+    # the trimmed survivors {1, 2} span one edge, over the cap 1 - 16/32
+    assert not report.small_components_applicable
+    assert not report.small_components_ok

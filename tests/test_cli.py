@@ -2,6 +2,7 @@ import pytest
 
 from cmstruct import EdgeColoring, complete_graph, parse_graph, serialize, star_graph
 from cmstruct.cli import main
+from cmstruct.graphs import MAX_VERTICES
 
 
 def write_graph(path, g, coloring=None):
@@ -185,6 +186,15 @@ def test_format_error_reports_line(tmp_path, capsys):
     code, _, err = run(capsys, ["decompose", "--n", "4", "--input", str(bad)])
     assert code == 1
     assert "line 2" in err
+
+
+def test_oversized_header_is_usage_error(tmp_path, capsys):
+    big = tmp_path / "big.g"
+    big.write_text(f"p cm {MAX_VERTICES + 1} 1\n")
+    code, out, err = run(capsys, ["loss-check", "--n", "4", "--input", str(big)])
+    assert code == 1
+    assert "line 1" in err
+    assert out == ""
 
 
 def test_output_is_stable(tmp_path, capsys):

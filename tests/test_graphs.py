@@ -17,6 +17,7 @@ from cmstruct import (
     to_dot,
 )
 from cmstruct.errors import ColorRangeError, GraphFormatError
+from cmstruct.graphs import MAX_VERTICES
 
 from .generators import random_graph
 
@@ -87,6 +88,9 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 2
     with pytest.raises(GraphFormatError):
         parse_graph("p cm 3 1\ne 0 1 1\ne 1 0 1\n")  # duplicate edge
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(f"# comment\np cm {MAX_VERTICES + 1} 1\n")
+    assert exc.value.line == 2
 
 
 def test_roundtrip_seeded_random_colorings():

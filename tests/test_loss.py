@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cmstruct import (
+    AuditParams,
     EdgeColoring,
     F_graph,
     F_vertex,
     Graph,
+    audit_coloring,
     VertexClass,
     check_F_inequality,
     check_f_inequality,
@@ -20,6 +22,7 @@ from cmstruct import (
     f_vertex,
     star_graph,
 )
+from cmstruct import search as search_module
 from cmstruct.constructions import affine_plane_coloring
 from cmstruct.errors import (
     HasConnectedMatchingError,
@@ -132,6 +135,30 @@ def test_F_reduces_to_f_for_one_color():
     assert F_vertex(g, coloring, 4) == f_vertex(g, 4, component_partitions(g, 4))
     holds, ledger = check_F_inequality(g, coloring, 4)
     assert holds and ledger.vertex_sum == ledger.total == Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "analysis",
+    [
+        lambda g, c: classify_vertices(g, c, 4),
+        lambda g, c: F_vertex(g, c, 4),
+        lambda g, c: check_F_inequality(g, c, 4),
+        lambda g, c: audit_coloring(AuditParams(4, Fraction(1, 2), 0, 4), g, c),
+    ],
+    ids=["classify_vertices", "F_vertex", "check_F_inequality", "audit_coloring"],
+)
+def test_per_color_analysis_runs_detection_once(monkeypatch, analysis):
+    calls = []
+    detect = search_module.find_mono_cm
+
+    def counting(*args):
+        calls.append(args)
+        return detect(*args)
+
+    monkeypatch.setattr(search_module, "find_mono_cm", counting)
+    g, coloring = affine_plane_coloring(3)
+    analysis(g, coloring)
+    assert len(calls) == 1
 
 
 def test_F_on_affine_plane():

@@ -15,10 +15,21 @@ from cmstruct import (
     star_graph,
     verify_sqi,
 )
+from cmstruct import partition as partition_module
 from cmstruct.errors import HasLargeMatchingError, NotConnectedError, OddNError
 
 from .generators import low_matching_connected
 from .oracles import all_graphs, all_partitions_sqi
+
+
+def test_small_case_needs_no_matching(monkeypatch):
+    # With v(G) <= n-1 no matching of size n/2 fits, so none is computed.
+    def refuse(g):
+        raise AssertionError("matching_number called on a small graph")
+
+    monkeypatch.setattr(partition_module, "matching_number", refuse)
+    p = sqi_partition(complete_graph(3), 4)
+    assert p.Q == frozenset(range(3)) and not p.S and not p.I
 
 
 def test_triangle_small_case():

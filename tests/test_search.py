@@ -21,6 +21,7 @@ from cmstruct import (
     star_graph,
 )
 from cmstruct.constructions import affine_plane_coloring, random_coloring
+from cmstruct import search as search_module
 from cmstruct.errors import OddNError
 
 from .generators import random_graph
@@ -164,6 +165,36 @@ def test_parallel_search_agrees_with_sequential():
     parallel = search_avoider(SearchConfig(5, 2, 4, threads=2))
     assert sequential.status == parallel.status == CERTIFIED_NONE
     assert search_avoider(SearchConfig(4, 2, 4, threads=2)).status == FOUND
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps here."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, 4), (3, 3), (None, 1)])
+def test_parallel_search_caps_worker_count(monkeypatch, cpus, expected):
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    sequential = search_avoider(SearchConfig(5, 2, 4))
+    capped = search_avoider(SearchConfig(5, 2, 4, threads=100000))
+    # K_5 splits into 4 star prefixes at vertex 0.
+    assert _InProcessPool.requested == [expected]
+    assert capped.status == sequential.status == CERTIFIED_NONE
 
 
 def test_ramsey_values():
