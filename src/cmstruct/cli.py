@@ -88,7 +88,7 @@ def _cmd_decompose(args) -> int:
             f"{_fmt_set(ids[v] for v in wit.witness)}"
         )
         try:
-            p = partition.sqi_partition(sub, args.n)
+            p = partition._sqi_partition(sub, args.n, lambda _: wit)
         except errors.HasLargeMatchingError as exc:
             print(f"  S/Q/I partition: not defined ({exc})")
             worst = EXIT_VIOLATED

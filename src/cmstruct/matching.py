@@ -42,6 +42,87 @@ class DeficiencyWitness:
     odd_components: tuple[frozenset[int], ...]
 
 
+def _lowest_common_base(mate: list[int], parent: list[int], base: list[int],
+                        a: int, b: int) -> int:
+    seen = [False] * len(mate)
+    while True:
+        a = base[a]
+        seen[a] = True
+        if mate[a] == -1:
+            break
+        a = parent[mate[a]]
+    while True:
+        b = base[b]
+        if seen[b]:
+            return b
+        b = parent[mate[b]]
+
+
+def _mark_blossom_path(mate: list[int], parent: list[int], base: list[int],
+                       v: int, root_base: int, child: int,
+                       in_blossom: list[bool]) -> None:
+    while base[v] != root_base:
+        in_blossom[base[v]] = True
+        in_blossom[base[mate[v]]] = True
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]
+
+
+def _augment(adj: tuple[tuple[int, ...], ...] | list[list[int]],
+             mate: list[int], root: int,
+             log: list[tuple[int, int]] | None = None) -> bool:
+    """One blossom BFS for an augmenting path from the exposed ``root``.
+
+    If a path is found, flips it in ``mate`` (one more matched edge) and
+    returns True. Each overwritten entry is appended to ``log`` as
+    ``(vertex, previous mate)``, so a caller can undo the flip by restoring
+    the log in reverse. Only ``root``'s component of ``adj`` is explored.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+    queue = deque([root])
+    in_queue[root] = True
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                # Odd cycle through two even-level vertices: contract it.
+                root_base = _lowest_common_base(mate, parent, base, v, to)
+                in_blossom = [False] * n
+                _mark_blossom_path(mate, parent, base, v, root_base, to, in_blossom)
+                _mark_blossom_path(mate, parent, base, to, root_base, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = root_base
+                        if not in_queue[i]:
+                            in_queue[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    # Augmenting path found: flip matched edges back to root.
+                    u = to
+                    while u != -1:
+                        pv = parent[u]
+                        next_u = mate[pv]
+                        if log is not None:
+                            log.append((u, mate[u]))
+                            log.append((pv, next_u))
+                        mate[u] = pv
+                        mate[pv] = u
+                        u = next_u
+                    return True
+                if not in_queue[mate[to]]:
+                    in_queue[mate[to]] = True
+                    queue.append(mate[to])
+    return False
+
+
 def _max_matching_mates(adj: tuple[tuple[int, ...], ...] | list[list[int]],
                         stop_at: int | None = None) -> list[int]:
     """Mate array of a maximum matching (-1 for exposed vertices).
@@ -65,77 +146,12 @@ def _max_matching_mates(adj: tuple[tuple[int, ...], ...] | list[list[int]],
         if stop_at is not None and size >= stop_at:
             return mate
 
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
-
-    def lowest_common_base(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if mate[a] == -1:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[mate[b]]
-
-    def mark_blossom_path(v: int, root_base: int, child: int, in_blossom: list[bool]):
-        while base[v] != root_base:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
-            parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
-
-    def augment_from(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-            in_queue[i] = False
-        queue = deque([root])
-        in_queue[root] = True
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
-                    continue
-                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                    # Odd cycle through two even-level vertices: contract it.
-                    root_base = lowest_common_base(v, to)
-                    in_blossom = [False] * n
-                    mark_blossom_path(v, root_base, to, in_blossom)
-                    mark_blossom_path(to, root_base, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = root_base
-                            if not in_queue[i]:
-                                in_queue[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if mate[to] == -1:
-                        # Augmenting path found: flip matched edges back to root.
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            next_u = mate[pv]
-                            mate[u] = pv
-                            mate[pv] = u
-                            u = next_u
-                        return True
-                    if not in_queue[mate[to]]:
-                        in_queue[mate[to]] = True
-                        queue.append(mate[to])
-        return False
-
+    # By Edmonds' lemma a vertex with no augmenting path keeps none after
+    # other augmentations, so one try per exposed vertex suffices.
     for v in range(n):
         if stop_at is not None and size >= stop_at:
             break
-        if mate[v] == -1 and augment_from(v):
+        if mate[v] == -1 and _augment(adj, mate, v):
             size += 1
     return mate
 

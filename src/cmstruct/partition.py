@@ -17,12 +17,13 @@ condition 1 holds with equality.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
 from .errors import HasLargeMatchingError, NotConnectedError, OddNError
 from .graphs import Graph, components
-from .matching import matching_number, tutte_berge
+from .matching import DeficiencyWitness, matching_number, tutte_berge
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,14 @@ class PartitionReport:
 
 def sqi_partition(g: Graph, n: int) -> SQIPartition:
     """Deterministic S/Q/I partition of a connected graph with ``nu < n/2``."""
+    return _sqi_partition(g, n, tutte_berge)
+
+
+def _sqi_partition(
+    g: Graph, n: int, witness_of: Callable[[Graph], DeficiencyWitness]
+) -> SQIPartition:
+    """``sqi_partition`` taking the deficiency witness from ``witness_of(g)``,
+    so a caller that already built the witness need not build it again."""
     if n < 2 or n % 2 != 0:
         raise OddNError(f"n must be an even integer >= 2, got {n}")
     if g.vertex_count == 0 or components(g).count != 1:
@@ -84,7 +93,7 @@ def sqi_partition(g: Graph, n: int) -> SQIPartition:
             f"graph has a matching of size {nu} >= {n // 2}"
         )
 
-    wit = tutte_berge(g)
+    wit = witness_of(g)
     s = set(wit.witness)
     # Odd components arrive sorted (size desc, min id asc); the largest one
     # contributes nothing to I, each other one its minimum vertex.

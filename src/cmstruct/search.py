@@ -12,6 +12,28 @@ non-decreasing, since any coloring can be brought to that shape by permuting
 the other vertices and then renaming colors by first use. Certified verdicts
 never depend on worker count; with one worker the returned avoider is
 deterministic.
+
+The prune test is incremental and gives the same verdict as a fresh
+matching: a branch dies iff the component that the new edge joins in its
+color class now has matching number nu >= n/2. Per color the search keeps
+an adjacency list, a mate array (the stored matching) and, for each
+component, the stored matching's size and an upper bound on nu, with
+size <= nu <= bound throughout:
+
+- Adding one edge raises nu by at most one, so an edge merging components
+  A and B gets bound(A) + bound(B) + 1, an edge inside one component gets
+  bound + 1, and either is capped at half the component's order.
+- If both ends are exposed they are matched at once.
+- Only when bound >= n/2 > size does the search look further: one blossom
+  BFS for an augmenting path from each exposed vertex of the component. By
+  Edmonds' lemma a vertex with no augmenting path still has none after the
+  matching grows along other paths, so one try per vertex leaves a maximum
+  matching, and the bound drops to its size.
+
+So the branch is viable iff the stored size stays below n/2. Every change
+(adjacency entries, mate flips, union-find links, sizes and bounds) goes on
+a trail and is restored in strict LIFO order on backtrack, so a popped
+assignment leaves exactly the state it found.
 """
 
 from __future__ import annotations
@@ -26,7 +48,7 @@ from .errors import (
     OddNError,
 )
 from .graphs import EdgeColoring, Graph, color_class, complete_graph, components
-from .matching import _max_matching_mates, matching_number, matching_of_size
+from .matching import _augment, matching_number, matching_of_size
 
 FOUND = "found"
 CERTIFIED_NONE = "certified_none"
@@ -179,8 +201,8 @@ class _RollbackComponents:
             v = parent[v]
         return v
 
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
+    def link(self, ra: int, rb: int) -> int:
+        """Merge the components with roots ``ra`` and ``rb``; the new root."""
         if ra == rb:
             self.trail.append((-1, -1))
             return ra
@@ -201,6 +223,80 @@ class _RollbackComponents:
             del self.members[ra][-strip:]
 
 
+class _ColorMatching:
+    """One color class of the search: its components, its adjacency and a
+    stored matching, each restored in strict LIFO order by ``remove``.
+
+    ``matched[r]`` and ``bound[r]`` belong to the component with union-find
+    root ``r``: the number of edges of the stored matching inside it, and an
+    upper bound on its matching number.
+    """
+
+    __slots__ = ("comps", "adj", "mate", "matched", "bound", "target",
+                 "trail", "flips")
+
+    def __init__(self, n_vertices: int, target: int):
+        self.comps = _RollbackComponents(n_vertices)
+        self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
+        self.mate = [-1] * n_vertices
+        self.matched = [0] * n_vertices
+        self.bound = [0] * n_vertices
+        self.target = target
+        self.trail: list[tuple[int, int, int, int]] = []
+        self.flips: list[tuple[int, int]] = []
+
+    def add(self, u: int, v: int) -> bool:
+        """Add edge uv; True while its component's matching number stays
+        below ``target``."""
+        comps = self.comps
+        ra, rb = comps.find(u), comps.find(v)
+        matched, bound = self.matched, self.bound
+        if ra == rb:
+            size, cap = matched[ra], bound[ra] + 1
+        else:
+            size, cap = matched[ra] + matched[rb], bound[ra] + bound[rb] + 1
+        root = comps.link(ra, rb)
+        flips = self.flips
+        self.trail.append((root, matched[root], bound[root], len(flips)))
+        half = comps.size[root] // 2
+        if cap > half:
+            cap = half
+        adj, mate = self.adj, self.mate
+        adj[u].append(v)
+        adj[v].append(u)
+        if mate[u] == -1 and mate[v] == -1:
+            flips.append((u, -1))
+            flips.append((v, -1))
+            mate[u] = v
+            mate[v] = u
+            size += 1
+        target = self.target
+        if cap >= target and size < target:
+            for w in comps.members[root]:
+                if mate[w] == -1 and _augment(adj, mate, w, flips):
+                    size += 1
+                    if size >= target:
+                        break
+            else:
+                cap = size
+        matched[root] = size
+        bound[root] = cap
+        return size < target
+
+    def remove(self, u: int, v: int) -> None:
+        """Undo the latest ``add``, which must have been of edge uv."""
+        root, size, cap, mark = self.trail.pop()
+        flips, mate = self.flips, self.mate
+        while len(flips) > mark:
+            w, m = flips.pop()
+            mate[w] = m
+        self.matched[root] = size
+        self.bound[root] = cap
+        self.adj[u].pop()
+        self.adj[v].pop()
+        self.comps.undo()
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -215,42 +311,19 @@ class _Searcher:
             (u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
         ]
         self.color_of = [0] * len(self.edge_list)
-        self.comp = [None] + [
-            _RollbackComponents(n_vertices) for _ in range(cfg.color_count)
-        ]
-        self.color_edges: list[list[tuple[int, int]]] = [
-            [] for _ in range(cfg.color_count + 1)
+        self.classes = [None] + [
+            _ColorMatching(n_vertices, cfg.n // 2) for _ in range(cfg.color_count)
         ]
         self.nodes = 0
         self.prefix = prefix
 
-    def _gains_cm(self, color: int, root: int) -> bool:
-        members = self.comp[color].members[root]
-        if len(members) < self.cfg.n:
-            return False
-        member_set = set(members)
-        index = {v: i for i, v in enumerate(members)}
-        adj: list[list[int]] = [[] for _ in members]
-        for a, b in self.color_edges[color]:
-            if a in member_set and b in member_set:
-                adj[index[a]].append(index[b])
-                adj[index[b]].append(index[a])
-        target = self.cfg.n // 2
-        mate = _max_matching_mates(adj, stop_at=target)
-        return sum(1 for v, m in enumerate(mate) if m > v) >= target
-
     def _assign(self, idx: int, color: int) -> bool:
         """Apply one assignment; True if the branch stays viable."""
-        u, v = self.edge_list[idx]
         self.color_of[idx] = color
-        self.color_edges[color].append((u, v))
-        root = self.comp[color].union(u, v)
-        return not self._gains_cm(color, root)
+        return self.classes[color].add(*self.edge_list[idx])
 
     def _unassign(self, idx: int) -> None:
-        color = self.color_of[idx]
-        self.comp[color].undo()
-        self.color_edges[color].pop()
+        self.classes[self.color_of[idx]].remove(*self.edge_list[idx])
         self.color_of[idx] = 0
 
     def _choices(self, idx: int, max_used: int) -> range:
@@ -332,6 +405,11 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
     Outcomes: FOUND with a detector-confirmed coloring, CERTIFIED_NONE after
     exhausting the (symmetry-reduced) space, or BUDGET_EXHAUSTED once the
     node budget runs out; the latter two are never conflated.
+
+    With ``threads > 1`` the first edges are enumerated into prefixes and
+    each prefix's subtree gets a share of ``node_budget``; the shares sum to
+    at most the budget. The reported node count then covers the subtree
+    searches only, not the enumeration or the replay of the prefixes.
     """
     if cfg.vertex_count < cfg.n:
         # A connected matching of size n/2 covers n vertices, so any
@@ -348,17 +426,21 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
     prefixes = _Searcher(cfg).prefixes(depth)
     if not prefixes:
         return SearchResult(CERTIFIED_NONE, None, 0)
-    share = max(1, cfg.node_budget // len(prefixes))
-    worker_cfg = replace(cfg, threads=1, node_budget=share)
-    exhausted = False
+    # Split the budget so the shares sum to it exactly; a prefix whose share
+    # is 0 counts as exhausted without being run.
+    share, extra = divmod(cfg.node_budget, len(prefixes))
+    budgets = [share + 1 if i < extra else share for i in range(len(prefixes))]
+    runnable = [p for p, b in zip(prefixes, budgets) if b > 0]
+    worker_cfgs = [
+        replace(cfg, threads=1, node_budget=b) for b in budgets if b > 0
+    ]
+    exhausted = len(runnable) < len(prefixes)
     nodes = 0
     # The pool starts every worker up front, so never ask for more than
     # there are subtrees or CPUs.
-    workers = min(cfg.threads, len(prefixes), os.cpu_count() or 1)
+    workers = min(cfg.threads, len(runnable), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for result in pool.map(
-            _run_subtree, [worker_cfg] * len(prefixes), prefixes
-        ):
+        for result in pool.map(_run_subtree, worker_cfgs, runnable):
             nodes += result.nodes
             if result.status == FOUND:
                 return SearchResult(FOUND, result.coloring, nodes)

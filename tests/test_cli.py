@@ -1,6 +1,15 @@
 import pytest
 
-from cmstruct import EdgeColoring, complete_graph, parse_graph, serialize, star_graph
+from cmstruct import (
+    EdgeColoring,
+    complete_graph,
+    disjoint_union,
+    parse_graph,
+    path_graph,
+    serialize,
+    star_graph,
+)
+from cmstruct import cli, partition
 from cmstruct.cli import main
 from cmstruct.graphs import MAX_VERTICES
 
@@ -36,6 +45,26 @@ def test_decompose_dot_annotates_classes(tmp_path, capsys):
     assert code == 0
     text = dot.read_text()
     assert '0 [class="S"];' in text
+
+
+def test_decompose_builds_each_witness_once(tmp_path, capsys, monkeypatch):
+    real = cli.tutte_berge
+    orders = []
+
+    def counting(g):
+        orders.append(g.vertex_count)
+        return real(g)
+
+    monkeypatch.setattr(cli, "tutte_berge", counting)
+    monkeypatch.setattr(partition, "tutte_berge", counting)
+    # Two components above n - 1 = 3 vertices, which get a partition from
+    # the witness, and one small component.
+    g = disjoint_union([star_graph(5), star_graph(4), path_graph(2)])
+    path = write_graph(tmp_path / "stars.g", g)
+    code, out, _ = run(capsys, ["decompose", "--n", "4", "--input", path])
+    assert code == 0
+    assert out.count("conditions 1-4: PASS") == 3
+    assert sorted(orders) == [2, 5, 6]
 
 
 def test_decompose_rejects_large_matching(tmp_path, capsys):

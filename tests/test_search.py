@@ -124,6 +124,7 @@ def test_search_small_instances():
 def test_search_finds_affine_type_avoider():
     result = search_avoider(SearchConfig(9, 4, 4, node_budget=10**7))
     assert result.status == FOUND
+    assert result.nodes == 782_094
     assert find_mono_cm(complete_graph(9), result.coloring, 4) is None
 
 
@@ -197,6 +198,64 @@ def test_parallel_search_caps_worker_count(monkeypatch, cpus, expected):
     assert capped.status == sequential.status == CERTIFIED_NONE
 
 
+def test_parallel_budget_shares_stay_within_budget(monkeypatch):
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    # K_6 splits into 5 star prefixes, more than the 3 nodes of budget.
+    result = search_avoider(SearchConfig(6, 2, 4, node_budget=3, threads=2))
+    assert result.status == BUDGET_EXHAUSTED
+    assert result.nodes <= 3
+
+
+def _kernel_state(searcher):
+    return [
+        (
+            list(cls.mate),
+            list(cls.matched),
+            list(cls.bound),
+            [list(a) for a in cls.adj],
+            list(cls.comps.parent),
+            [list(m) for m in cls.comps.members],
+        )
+        for cls in searcher.classes[1:]
+    ]
+
+
+@pytest.mark.parametrize("size", range(6, 11))
+def test_incremental_prune_matches_fresh_matching(size):
+    """Random push/pop walks through the search kernel: every verdict must
+    match a matching computed from scratch, and a full unwind must restore
+    the initial state."""
+    rng = random.Random(size)
+    for k in (1, 2, 3):
+        for n in (4, 6, 8):
+            searcher = search_module._Searcher(SearchConfig(size, k, n))
+            initial = _kernel_state(searcher)
+            edges = searcher.edge_list
+            stack: list[int] = []
+            for _ in range(150):
+                free = [i for i in range(len(edges)) if searcher.color_of[i] == 0]
+                if stack and (not free or rng.random() < 0.3):
+                    searcher._unassign(stack.pop())
+                    continue
+                idx = rng.choice(free)
+                color = rng.randint(1, k)
+                viable = searcher._assign(idx, color)
+                stack.append(idx)
+                cls = Graph.from_edges(
+                    size, [edges[i] for i in stack if searcher.color_of[i] == color]
+                )
+                assert viable == (max_connected_matching(cls)[0] < n // 2)
+                if size <= 7:
+                    assert viable == (brute_max_connected_matching(cls) < n // 2)
+                if not viable:
+                    # As in the search, a pruned assignment is undone at once.
+                    searcher._unassign(stack.pop())
+            while stack:
+                searcher._unassign(stack.pop())
+            assert _kernel_state(searcher) == initial
+
+
 def test_ramsey_values():
     assert ramsey_cm(1, 4, 6).value == 4
     assert ramsey_cm(2, 2, 4).value == 2
@@ -205,6 +264,16 @@ def test_ramsey_values():
     assert result.status == "exact"
     # returned avoider lives on K_4 and avoids
     assert find_mono_cm(complete_graph(4), result.avoider, 4) is None
+
+
+@pytest.mark.parametrize(
+    "k, n, n_max, value, nodes",
+    [(2, 4, 8, 5, 47), (3, 4, 8, 6, 1_273), (2, 6, 10, 8, 5_810)],
+)
+def test_ramsey_scan_values_and_node_counts(k, n, n_max, value, nodes):
+    # The node counts pin the shape of the symmetry-reduced search tree.
+    result = ramsey_cm(k, n, n_max)
+    assert (result.status, result.value, result.nodes) == ("exact", value, nodes)
 
 
 def test_ramsey_budget_degrades_to_lower_bound():
