@@ -313,11 +313,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
+    result = search.ramsey_cm(args.k, args.n, args.max, args.budget)
     print(
         f"# cmstruct ramsey k={args.k} n={args.n} max={args.max} "
         f"budget={args.budget}"
     )
-    result = search.ramsey_cm(args.k, args.n, args.max, args.budget)
     print(f"nodes explored: {result.nodes}")
     if result.status == "exact":
         print(f"R_cm({args.k}, {args.n}) = {result.value}")

@@ -4,6 +4,10 @@ The matching routine is an array-based Edmonds blossom search: repeated BFS
 for augmenting paths with blossom contraction tracked through ``base``
 pointers, O(V^3) overall. Vertices are always scanned in ascending id order,
 so results are deterministic for a fixed input.
+
+Deficiency witnesses follow Gallai-Edmonds (Lovász-Plummer, *Matching
+Theory*, ch. 3): one maximum matching plus one failed blossom search per
+exposed vertex, also O(V^3).
 """
 
 from __future__ import annotations
@@ -71,13 +75,15 @@ def _mark_blossom_path(mate: list[int], parent: list[int], base: list[int],
 
 def _augment(adj: tuple[tuple[int, ...], ...] | list[list[int]],
              mate: list[int], root: int,
-             log: list[tuple[int, int]] | None = None) -> bool:
+             log: list[tuple[int, int]] | None = None,
+             outer: set[int] | None = None) -> bool:
     """One blossom BFS for an augmenting path from the exposed ``root``.
 
     If a path is found, flips it in ``mate`` (one more matched edge) and
     returns True. Each overwritten entry is appended to ``log`` as
     ``(vertex, previous mate)``, so a caller can undo the flip by restoring
     the log in reverse. Only ``root``'s component of ``adj`` is explored.
+    Otherwise the search's outer (even) vertices are added to ``outer``.
     """
     n = len(adj)
     parent = [-1] * n
@@ -120,6 +126,8 @@ def _augment(adj: tuple[tuple[int, ...], ...] | list[list[int]],
                 if not in_queue[mate[to]]:
                     in_queue[mate[to]] = True
                     queue.append(mate[to])
+    if outer is not None:
+        outer.update(i for i in range(n) if in_queue[i])
     return False
 
 
@@ -207,21 +215,17 @@ def tutte_berge(g: Graph) -> DeficiencyWitness:
     """Deficiency of ``g`` with an explicit witness set.
 
     The witness is the set of vertices outside D with a neighbor in D, where
-    D collects every vertex missed by at least one maximum matching (v is in
-    D iff deleting it leaves the matching number unchanged). The returned
-    set attains the maximum of odd_components(G-S) - |S| over all S.
+    D collects every vertex missed by at least one maximum matching: the
+    outer vertices of a failed blossom search from each exposed vertex of
+    one maximum matching. The returned set attains the maximum of
+    odd_components(G-S) - |S| over all S.
     """
-    nu = matching_number(g)
-    deficiency = g.vertex_count - 2 * nu
-    inessential = set()
-    for v in range(g.vertex_count):
-        adj_minus = [
-            tuple(u for u in g.neighbors(w) if u != v) if w != v else ()
-            for w in range(g.vertex_count)
-        ]
-        mates = _max_matching_mates(adj_minus)
-        if sum(1 for w, m in enumerate(mates) if m > w) == nu:
-            inessential.add(v)
+    mate = _max_matching_mates(g.adjacency)
+    deficiency = mate.count(-1)
+    inessential: set[int] = set()
+    for root, m in enumerate(mate):
+        if m == -1:  # no augmenting path, as the matching is maximum
+            _augment(g.adjacency, mate, root, outer=inessential)
     witness = frozenset(
         u
         for v in inessential
@@ -231,4 +235,3 @@ def tutte_berge(g: Graph) -> DeficiencyWitness:
     odd = odd_components(g, witness)
     assert len(odd) - len(witness) == deficiency, "witness certificate failed"
     return DeficiencyWitness(witness, deficiency, tuple(odd))
-

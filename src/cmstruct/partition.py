@@ -23,7 +23,7 @@ from math import comb
 
 from .errors import HasLargeMatchingError, NotConnectedError, OddNError
 from .graphs import Graph, components
-from .matching import DeficiencyWitness, matching_number, tutte_berge
+from .matching import DeficiencyWitness, tutte_berge
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,11 @@ def _sqi_partition(
     if v <= n - 1:
         # 2 nu <= v < n, so no matching of size n/2 fits.
         return SQIPartition(frozenset(), frozenset(range(v)), frozenset(), n)
-    nu = matching_number(g)
-    if nu >= n // 2:
-        raise HasLargeMatchingError(
-            f"graph has a matching of size {nu} >= {n // 2}"
-        )
-
     wit = witness_of(g)
+    nu = (v - wit.deficiency) // 2
+    if nu >= n // 2:
+        raise HasLargeMatchingError(f"graph has a matching of size {nu} >= {n // 2}")
+
     s = set(wit.witness)
     # Odd components arrive sorted (size desc, min id asc); the largest one
     # contributes nothing to I, each other one its minimum vertex.

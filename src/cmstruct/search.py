@@ -466,34 +466,33 @@ def ramsey_cm(
 
     Scans N upward; avoidance is monotone under vertex deletion, so the
     first certified-none N is the answer. With the budget exhausted first,
-    the result degrades to the best verified lower bound.
+    the result degrades to the best verified lower bound. The reported node
+    count never exceeds ``node_budget``.
     """
     if n < 2 or n % 2 != 0:
         raise OddNError(f"n must be an even integer >= 2, got {n}")
+    if node_budget < 1:
+        raise ValueError("node_budget must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     avoider: EdgeColoring | None = None
     total = 0
-    for size in range(1, n_max + 1):
-        cfg = SearchConfig(
-            size, color_count, n, node_budget=max(1, node_budget - total)
-        )
+    size = 1
+    # Sizes below n cost no nodes, so the budget runs out only at a size >= n.
+    while size <= n_max and total < node_budget:
+        cfg = SearchConfig(size, color_count, n, node_budget=node_budget - total)
         result = search_avoider(cfg)
         total += result.nodes
-        if result.status == FOUND:
-            if size >= 2:
-                shrunk = restrict_coloring(result.coloring, size - 1)
-                sub = complete_graph(size - 1)
-                assert find_mono_cm(sub, shrunk, n) is None, (
-                    "restriction of an avoider must avoid"
-                )
-            avoider = result.coloring
-            continue
         if result.status == CERTIFIED_NONE:
-            return RamseyResult(
-                color_count, n, "exact", size, size, avoider, total
+            return RamseyResult(color_count, n, "exact", size, size, avoider, total)
+        if result.status != FOUND:
+            break
+        if size >= 2:
+            shrunk = restrict_coloring(result.coloring, size - 1)
+            sub = complete_graph(size - 1)
+            assert find_mono_cm(sub, shrunk, n) is None, (
+                "restriction of an avoider must avoid"
             )
-        return RamseyResult(
-            color_count, n, "lower_bound", None, size, avoider, total
-        )
-    return RamseyResult(
-        color_count, n, "lower_bound", None, n_max + 1, avoider, total
-    )
+        avoider = result.coloring
+        size += 1
+    return RamseyResult(color_count, n, "lower_bound", None, size, avoider, total)

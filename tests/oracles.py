@@ -79,6 +79,19 @@ def brute_deficiency(g: Graph) -> int:
     return best
 
 
+def brute_gallai_edmonds(g: Graph) -> frozenset[int]:
+    """The Gallai-Edmonds set A = N(D) minus D, where D holds every vertex
+    whose deletion leaves the matching number unchanged."""
+    nu = brute_matching_number(g)
+    d = set()
+    for v in range(g.vertex_count):
+        # Isolating v has the same matching number as deleting it.
+        rest = Graph(g.vertex_count, frozenset(e for e in g.edges if v not in e))
+        if brute_matching_number(rest) == nu:
+            d.add(v)
+    return frozenset(u for v in d for u in g.neighbors(v) if u not in d)
+
+
 def brute_max_connected_matching(g: Graph) -> int:
     masks = adjacency_masks(g)
     full = (1 << g.vertex_count) - 1

@@ -197,6 +197,22 @@ def test_ramsey_command(capsys):
     assert "p cm 4 2" in out
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--budget", "0"], "node_budget must be positive"),
+        (["--budget", "-5"], "node_budget must be positive"),
+        (["--max", "-3"], "n_max must be >= 1"),
+    ],
+)
+def test_ramsey_bad_input_is_usage_error(capsys, extra, message):
+    argv = ["ramsey", "--k", "2", "--n", "4", "--max", "6"]
+    code, out, err = run(capsys, argv + extra)
+    assert code == 1
+    assert message in err
+    assert out == ""
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--bogus"])

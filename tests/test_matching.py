@@ -9,14 +9,17 @@ from cmstruct import (
     maximum_matching,
     odd_components,
     path_graph,
+    sqi_partition,
     star_graph,
     tutte_berge,
 )
+from cmstruct import matching as matching_module
 
 from .generators import random_connected_graph, random_graph
 from .oracles import (
     all_graphs,
     brute_deficiency,
+    brute_gallai_edmonds,
     brute_matching_number,
     has_augmenting_path,
 )
@@ -112,6 +115,46 @@ def test_random_graphs_against_oracle():
         assert nu == brute_matching_number(g)
         w = tutte_berge(g)
         assert w.deficiency == brute_deficiency(g) == g.vertex_count - 2 * nu
+
+
+def test_witness_is_gallai_edmonds_set():
+    # The pinned CLI output prints the witness, so the set itself (not just
+    # the deficiency it certifies) must be A = N(D) minus D.
+    for n in range(6):
+        for g in all_graphs(n):
+            assert tutte_berge(g).witness == brute_gallai_edmonds(g)
+    rng = random.Random(23)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        assert tutte_berge(g).witness == brute_gallai_edmonds(g)
+
+
+def count_max_matchings(monkeypatch):
+    calls = []
+    real = matching_module._max_matching_mates
+
+    def counting(adj, stop_at=None):
+        calls.append(len(adj))
+        return real(adj, stop_at)
+
+    monkeypatch.setattr(matching_module, "_max_matching_mates", counting)
+    return calls
+
+
+def test_tutte_berge_runs_one_maximum_matching(monkeypatch):
+    calls = count_max_matchings(monkeypatch)
+    w = tutte_berge(star_graph(5))
+    assert (w.deficiency, w.witness) == (4, frozenset({0}))
+    assert len(calls) == 1
+
+
+def test_sqi_partition_runs_one_maximum_matching(monkeypatch):
+    # K_{1,5} with n = 6 has more than n - 1 vertices, so the partition
+    # needs the witness; its matching number comes from the same matching.
+    calls = count_max_matchings(monkeypatch)
+    p = sqi_partition(star_graph(5), 6)
+    assert p.S == frozenset({0})
+    assert len(calls) == 1
 
 
 def test_no_augmenting_path_certifies_maximality():

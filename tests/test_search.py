@@ -283,6 +283,34 @@ def test_ramsey_budget_degrades_to_lower_bound():
     assert result.lower_bound >= 2
 
 
+def test_ramsey_budget_is_never_overrun():
+    full = ramsey_cm(2, 4, 8)
+    for budget in range(1, 61):
+        result = ramsey_cm(2, 4, 8, node_budget=budget)
+        assert result.nodes <= budget
+        if result.status == "exact":
+            assert full.status == "exact"
+            assert (result.value, result.nodes) == (full.value, full.nodes)
+    # K_4 takes 9 nodes to find an avoider; the spent budget buys no more.
+    result = ramsey_cm(2, 4, 8, node_budget=9)
+    assert (result.status, result.lower_bound, result.nodes) == ("lower_bound", 5, 9)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"node_budget": 0}, "node_budget must be positive"),
+        ({"node_budget": -5}, "node_budget must be positive"),
+        ({"n_max": 0}, "n_max must be >= 1"),
+        ({"n_max": -3}, "n_max must be >= 1"),
+    ],
+)
+def test_ramsey_rejects_bad_budget_and_range(kwargs, message):
+    args = {"color_count": 2, "n": 4, "n_max": 6, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        ramsey_cm(**args)
+
+
 def test_detector_on_random_colorings_of_k17():
     g = complete_graph(17)
     for seed in range(50):
