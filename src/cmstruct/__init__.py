@@ -43,9 +43,13 @@ from .loss import (
     f_vertex,
 )
 from .matching import (
+    CMWitness,
     DeficiencyWitness,
     Matching,
+    check_witness,
+    find_mono_cm,
     matching_number,
+    max_connected_matching,
     matching_of_size,
     maximum_matching,
     odd_components,
@@ -63,13 +67,9 @@ from .search import (
     BUDGET_EXHAUSTED,
     CERTIFIED_NONE,
     FOUND,
-    CMWitness,
     RamseyResult,
     SearchConfig,
     SearchResult,
-    check_witness,
-    find_mono_cm,
-    max_connected_matching,
     ramsey_cm,
     search_avoider,
 )

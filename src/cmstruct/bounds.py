@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .graphs import EdgeColoring, Graph, color_class, components
 from .loss import VertexClass, classify_vertices
-from .search import require_no_connected_matching
+from .matching import require_no_connected_matching
 
 
 def erdos_gallai_check(g: Graph, n: int) -> tuple[bool, Fraction]:

@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 from .errors import InvalidPartitionError
 from .graphs import EdgeColoring, Graph, color_class, components
+from .matching import require_no_connected_matching, require_no_monochromatic_cm
 from .partition import SQIPartition, component_partitions, verify_sqi
-from .search import require_no_connected_matching, require_no_monochromatic_cm
 
 
 class VertexClass(enum.Enum):

@@ -1,4 +1,4 @@
-"""Maximum matching and deficiency witnesses for general graphs.
+"""Maximum matching, deficiency witnesses and connected-matching detection.
 
 The matching routine is an array-based Edmonds blossom search: repeated BFS
 for augmenting paths with blossom contraction tracked through ``base``
@@ -8,6 +8,12 @@ so results are deterministic for a fixed input.
 Deficiency witnesses follow Gallai-Edmonds (Lovász-Plummer, *Matching
 Theory*, ch. 3): one maximum matching plus one failed blossom search per
 exposed vertex, also O(V^3).
+
+A connected matching is a matching whose edges all lie in one component of
+the host graph. The detector scans color classes component by component and
+returns a witness that ``check_witness`` re-validates independently; the
+``require_no_*`` guards protect the analyses defined only on inputs without
+a connected matching of size n/2.
 """
 
 from __future__ import annotations
@@ -15,7 +21,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .errors import (
+    HasConnectedMatchingError,
+    HasMonochromaticMatchingError,
+    OddNError,
+)
+from .graphs import EdgeColoring, Graph, color_class, components
 
 
 @dataclass(frozen=True)
@@ -37,8 +48,9 @@ class Matching:
 class DeficiencyWitness:
     """Vertex set certifying how many vertices every maximum matching misses.
 
-    ``deficiency == len(odd_components) - len(witness)`` and also equals
-    ``v(G) - 2*matching_number``; both are asserted at construction time.
+    ``deficiency == len(odd_components) - len(witness)``, asserted in
+    ``tutte_berge``. It also equals ``v(G) - 2*matching_number``, because it
+    counts the exposed vertices of a maximum matching.
     """
 
     witness: frozenset[int]
@@ -235,3 +247,93 @@ def tutte_berge(g: Graph) -> DeficiencyWitness:
     odd = odd_components(g, witness)
     assert len(odd) - len(witness) == deficiency, "witness certificate failed"
     return DeficiencyWitness(witness, deficiency, tuple(odd))
+
+
+@dataclass(frozen=True)
+class CMWitness:
+    """A monochromatic connected matching: color, component, matching edges."""
+
+    color: int
+    component: frozenset[int]
+    matching: frozenset[tuple[int, int]]
+
+
+def max_connected_matching(g: Graph) -> tuple[int, frozenset[int]]:
+    """Largest matching within a single component, with a witness component.
+
+    Ties break toward the component containing the smallest vertex id.
+    """
+    best = -1
+    best_comp: frozenset[int] = frozenset()
+    for comp in components(g).vertex_sets():
+        sub, _ = g.induced(comp)
+        nu = matching_number(sub)
+        if nu > best:
+            best = nu
+            best_comp = comp
+    return max(best, 0), best_comp
+
+
+def check_witness(g: Graph, coloring: EdgeColoring, n: int, w: CMWitness) -> bool:
+    """Independent re-validation of a detector witness."""
+    if len(w.matching) != n // 2:
+        return False
+    seen: set[int] = set()
+    for u, v in w.matching:
+        if not g.has_edge(u, v) or coloring.color_of(u, v) != w.color:
+            return False
+        if u in seen or v in seen or not {u, v} <= w.component:
+            return False
+        seen.update((u, v))
+    cls = color_class(g, coloring, w.color)
+    labeling = components(cls)
+    anchor = next(iter(w.matching))[0]
+    return w.component == labeling.vertex_sets()[labeling.component_of(anchor)]
+
+
+def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
+    """First monochromatic connected matching of size ``n/2``, if any.
+
+    Colors are scanned in ascending order, components in labeling order, so
+    the witness is deterministic. Returns None iff no color class has a
+    component whose matching number reaches ``n/2``.
+    """
+    if n < 2 or n % 2 != 0:
+        raise OddNError(f"n must be an even integer >= 2, got {n}")
+    target = n // 2
+    for color in range(1, coloring.color_count + 1):
+        cls = color_class(g, coloring, color)
+        for comp in components(cls).vertex_sets():
+            if len(comp) < n:
+                continue
+            sub, ids = cls.induced(comp)
+            found = matching_of_size(sub, target)
+            if found is not None:
+                witness = CMWitness(
+                    color,
+                    comp,
+                    frozenset((ids[a], ids[b]) for a, b in found.edges),
+                )
+                assert check_witness(g, coloring, n, witness)
+                return witness
+    return None
+
+
+def require_no_connected_matching(g: Graph, n: int) -> None:
+    """Guard for operations defined only on graphs without a connected
+    matching of size ``n/2``."""
+    size, _ = max_connected_matching(g)
+    if size >= n // 2:
+        raise HasConnectedMatchingError(
+            f"graph has a connected matching of size {size} >= {n // 2}"
+        )
+
+
+def require_no_monochromatic_cm(g: Graph, coloring: EdgeColoring, n: int) -> None:
+    """Guard for operations defined only on colorings without a
+    monochromatic connected matching of size ``n/2``."""
+    witness = find_mono_cm(g, coloring, n)
+    if witness is not None:
+        raise HasMonochromaticMatchingError(
+            f"color {witness.color} has a connected matching of size {n // 2}"
+        )

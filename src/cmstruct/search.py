@@ -1,9 +1,8 @@
-"""Monochromatic connected-matching detection and exact avoider search.
+"""Exact avoider search over edge colorings of complete graphs.
 
-A connected matching is a matching whose edges all lie in one component of
-the host graph. The detector scans color classes component by component; the
-search walks the edges of a complete graph depth-first, pruning a branch as
-soon as any color class gains a connected matching of the forbidden size.
+The search walks the edges of a complete graph depth-first, pruning a
+branch as soon as any color class gains a connected matching of the
+forbidden size.
 
 Symmetry reduction is deliberately lightweight and provably sound: colors
 are canonicalized by first use (color i+1 may first appear only after color
@@ -39,29 +38,18 @@ assignment leaves exactly the state it found.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .errors import (
-    HasConnectedMatchingError,
-    HasMonochromaticMatchingError,
-    OddNError,
-)
-from .graphs import EdgeColoring, Graph, color_class, complete_graph, components
-from .matching import _augment, matching_number, matching_of_size
+from .errors import OddNError
+from .graphs import EdgeColoring, complete_graph
+# max_connected_matching is unused here but kept as a public and traced name.
+from .matching import _augment, find_mono_cm, max_connected_matching  # noqa: F401
 
 FOUND = "found"
 CERTIFIED_NONE = "certified_none"
 BUDGET_EXHAUSTED = "budget_exhausted"
-
-
-@dataclass(frozen=True)
-class CMWitness:
-    """A monochromatic connected matching: color, component, matching edges."""
-
-    color: int
-    component: frozenset[int]
-    matching: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -101,87 +89,6 @@ class RamseyResult:
     lower_bound: int  # the smallest N not yet ruled out: R >= lower_bound
     avoider: EdgeColoring | None  # avoider on K_{lower_bound - 1}
     nodes: int
-
-
-def max_connected_matching(g: Graph) -> tuple[int, frozenset[int]]:
-    """Largest matching within a single component, with a witness component.
-
-    Ties break toward the component containing the smallest vertex id.
-    """
-    best = -1
-    best_comp: frozenset[int] = frozenset()
-    for comp in components(g).vertex_sets():
-        sub, _ = g.induced(comp)
-        nu = matching_number(sub)
-        if nu > best:
-            best = nu
-            best_comp = comp
-    return max(best, 0), best_comp
-
-
-def check_witness(g: Graph, coloring: EdgeColoring, n: int, w: CMWitness) -> bool:
-    """Independent re-validation of a detector witness."""
-    if len(w.matching) != n // 2:
-        return False
-    seen: set[int] = set()
-    for u, v in w.matching:
-        if not g.has_edge(u, v) or coloring.color_of(u, v) != w.color:
-            return False
-        if u in seen or v in seen or not {u, v} <= w.component:
-            return False
-        seen.update((u, v))
-    cls = color_class(g, coloring, w.color)
-    labeling = components(cls)
-    anchor = next(iter(w.matching))[0]
-    return w.component == labeling.vertex_sets()[labeling.component_of(anchor)]
-
-
-def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
-    """First monochromatic connected matching of size ``n/2``, if any.
-
-    Colors are scanned in ascending order, components in labeling order, so
-    the witness is deterministic. Returns None iff no color class has a
-    component whose matching number reaches ``n/2``.
-    """
-    if n < 2 or n % 2 != 0:
-        raise OddNError(f"n must be an even integer >= 2, got {n}")
-    target = n // 2
-    for color in range(1, coloring.color_count + 1):
-        cls = color_class(g, coloring, color)
-        for comp in components(cls).vertex_sets():
-            if len(comp) < n:
-                continue
-            sub, ids = cls.induced(comp)
-            found = matching_of_size(sub, target)
-            if found is not None:
-                witness = CMWitness(
-                    color,
-                    comp,
-                    frozenset((ids[a], ids[b]) for a, b in found.edges),
-                )
-                assert check_witness(g, coloring, n, witness)
-                return witness
-    return None
-
-
-def require_no_connected_matching(g: Graph, n: int) -> None:
-    """Guard for operations defined only on graphs without a connected
-    matching of size ``n/2``."""
-    size, _ = max_connected_matching(g)
-    if size >= n // 2:
-        raise HasConnectedMatchingError(
-            f"graph has a connected matching of size {size} >= {n // 2}"
-        )
-
-
-def require_no_monochromatic_cm(g: Graph, coloring: EdgeColoring, n: int) -> None:
-    """Guard for operations defined only on colorings without a
-    monochromatic connected matching of size ``n/2``."""
-    witness = find_mono_cm(g, coloring, n)
-    if witness is not None:
-        raise HasMonochromaticMatchingError(
-            f"color {witness.color} has a connected matching of size {n // 2}"
-        )
 
 
 class _RollbackComponents:
@@ -340,19 +247,47 @@ class _Searcher:
         return range(lo, hi + 1)
 
     def _dfs(self, idx: int, max_used: int) -> tuple[int, ...] | None:
-        if idx == len(self.edge_list):
-            return tuple(self.color_of)
-        for color in self._choices(idx, max_used):
-            if self.nodes >= self.cfg.node_budget:
-                raise _BudgetExhausted
-            self.nodes += 1
-            viable = self._assign(idx, color)
-            if viable:
-                hit = self._dfs(idx + 1, max(max_used, color))
-                if hit is not None:
-                    return hit
-            self._unassign(idx)
-        return None
+        """First full assignment below edge ``idx``, or None.
+
+        Iterative, as the depth is one level per edge: K_46 alone has 1,035.
+        ``stack`` holds, per shallower edge, its untried colors and the
+        largest color used before it.
+        """
+        edge_list, color_of, classes = self.edge_list, self.color_of, self.classes
+        end = len(edge_list)
+        if idx == end:
+            return tuple(color_of)
+        budget = self.cfg.node_budget
+        nodes = self.nodes
+        stack: list[tuple[Iterator[int], int]] = []
+        choices = iter(self._choices(idx, max_used))
+        try:
+            while True:
+                color = next(choices, 0)
+                if color == 0:  # colors start at 1: this edge has none left
+                    if not stack:
+                        return None
+                    choices, max_used = stack.pop()
+                    idx -= 1
+                    classes[color_of[idx]].remove(*edge_list[idx])
+                    color_of[idx] = 0
+                    continue
+                if nodes >= budget:
+                    raise _BudgetExhausted
+                nodes += 1
+                color_of[idx] = color
+                if classes[color].add(*edge_list[idx]):
+                    if idx + 1 == end:
+                        return tuple(color_of)
+                    stack.append((choices, max_used))
+                    max_used = max(max_used, color)
+                    idx += 1
+                    choices = iter(self._choices(idx, max_used))
+                else:
+                    classes[color].remove(*edge_list[idx])
+                    color_of[idx] = 0
+        finally:
+            self.nodes = nodes
 
     def run(self) -> SearchResult:
         # Replay the prefix; a pruned prefix certifies its subtree empty.

@@ -186,6 +186,13 @@ def test_search_exit_codes(capsys):
     assert code == 3
     assert "budget exhausted" in out
 
+    code, out, _ = run(
+        capsys,
+        ["search", "--n-vertices", "46", "--k", "40", "--n", "4", "--budget", "20000"],
+    )
+    assert code == 3
+    assert "budget exhausted" in out
+
 
 def test_ramsey_command(capsys):
     code, out, _ = run(

@@ -1,0 +1,43 @@
+"""Each module of the package imports only modules of a lower layer."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cmstruct"
+
+RANK = {
+    "errors": 0,
+    "graphs": 1,
+    "matching": 2,
+    "constructions": 2,
+    "partition": 3,
+    "loss": 4,
+    "bounds": 5,
+    "search": 6,
+    "cli": 7,
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Modules named by the relative imports (``from .x``, ``from . import x``)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_is_ranked():
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert modules == set(RANK)
+
+
+def test_modules_import_only_lower_layers():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for name in _package_imports(path):
+            assert RANK[name] < RANK[path.stem], f"{path.stem} imports {name}"

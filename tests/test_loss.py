@@ -22,7 +22,7 @@ from cmstruct import (
     f_vertex,
     star_graph,
 )
-from cmstruct import search as search_module
+from cmstruct import matching as matching_module
 from cmstruct.constructions import affine_plane_coloring
 from cmstruct.errors import (
     HasConnectedMatchingError,
@@ -149,13 +149,13 @@ def test_F_reduces_to_f_for_one_color():
 )
 def test_per_color_analysis_runs_detection_once(monkeypatch, analysis):
     calls = []
-    detect = search_module.find_mono_cm
+    detect = matching_module.find_mono_cm
 
     def counting(*args):
         calls.append(args)
         return detect(*args)
 
-    monkeypatch.setattr(search_module, "find_mono_cm", counting)
+    monkeypatch.setattr(matching_module, "find_mono_cm", counting)
     g, coloring = affine_plane_coloring(3)
     analysis(g, coloring)
     assert len(calls) == 1

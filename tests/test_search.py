@@ -132,6 +132,12 @@ def test_budget_exhaustion_is_distinct():
     result = search_avoider(SearchConfig(5, 2, 4, node_budget=5))
     assert result.status == BUDGET_EXHAUSTED
     assert result.coloring is None
+    # K_46 has 1,035 edges, one search level each: deeper than the default
+    # recursion limit.
+    result = search_avoider(SearchConfig(46, 40, 4, node_budget=20_000))
+    assert result.status == BUDGET_EXHAUSTED
+    assert result.coloring is None
+    assert result.nodes == 20_000
 
 
 def _brute_avoider_exists(size: int, k: int, n: int) -> bool:
