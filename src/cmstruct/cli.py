@@ -130,18 +130,16 @@ def _cmd_loss_check(args) -> int:
     print(f"# cmstruct loss-check n={args.n} input={args.input}")
     if coloring.color_count == 1:
         holds, ledger = loss.check_f_inequality(g, args.n)
-        total, sigma = ledger.total, ledger.vertex_sum
-        print(f"f(G) = {_fmt(total)}")
-        print(f"sum f(v) = {_fmt(sigma)}")
-        tag = "HOLDS (equality)" if sigma == total else "HOLDS" if holds else "VIOLATED"
-        print(f"single-color loss bound: {tag}")
+        name, kind = "f", "single-color"
     else:
         holds, ledger = loss.check_F_inequality(g, coloring, args.n)
-        total, sigma = ledger.total, ledger.vertex_sum
-        print(f"F(G) = {_fmt(total)}")
-        print(f"sum F(v) = {_fmt(sigma)}")
-        tag = "HOLDS (equality)" if sigma == total else "HOLDS" if holds else "VIOLATED"
-        print(f"multicolor loss bound: {tag}")
+        name, kind = "F", "multicolor"
+    total, sigma = ledger.total, ledger.vertex_sum
+    print(f"{name}(G) = {_fmt(total)}")
+    print(f"sum {name}(v) = {_fmt(sigma)}")
+    tag = "HOLDS (equality)" if sigma == total else "HOLDS" if holds else "VIOLATED"
+    print(f"{kind} loss bound: {tag}")
+    if coloring.color_count > 1:
         parts = sum(
             (loss.f_graph(graphs.color_class(g, coloring, i), args.n)
              for i in range(1, coloring.color_count + 1)),

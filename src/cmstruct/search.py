@@ -29,10 +29,10 @@ size <= nu <= bound throughout:
   matching grows along other paths, so one try per vertex leaves a maximum
   matching, and the bound drops to its size.
 
-So the branch is viable iff the stored size stays below n/2. Every change
-(adjacency entries, mate flips, union-find links, sizes and bounds) goes on
-a trail and is restored in strict LIFO order on backtrack, so a popped
-assignment leaves exactly the state it found.
+So the branch is viable iff the stored size stays below n/2. The kernel
+also keeps the components, as a union-find with member lists. Each added
+edge pushes one trail entry, from which its removal restores everything in
+strict LIFO order, so a popped assignment leaves exactly the state it found.
 """
 
 from __future__ import annotations
@@ -91,81 +91,54 @@ class RamseyResult:
     nodes: int
 
 
-class _RollbackComponents:
-    """Union-find with member lists and strict LIFO undo."""
-
-    __slots__ = ("parent", "size", "members", "trail")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.members = [[v] for v in range(n)]
-        self.trail: list[tuple[int, int]] = []
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    def link(self, ra: int, rb: int) -> int:
-        """Merge the components with roots ``ra`` and ``rb``; the new root."""
-        if ra == rb:
-            self.trail.append((-1, -1))
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.members[ra].extend(self.members[rb])
-        self.trail.append((ra, rb))
-        return ra
-
-    def undo(self) -> None:
-        ra, rb = self.trail.pop()
-        if ra >= 0:
-            self.parent[rb] = rb
-            strip = self.size[rb]
-            self.size[ra] -= strip
-            del self.members[ra][-strip:]
-
-
 class _ColorMatching:
     """One color class of the search: its components, its adjacency and a
     stored matching, each restored in strict LIFO order by ``remove``.
 
-    ``matched[r]`` and ``bound[r]`` belong to the component with union-find
-    root ``r``: the number of edges of the stored matching inside it, and an
-    upper bound on its matching number.
+    ``parent`` links the union-find, and ``members[r]``, ``matched[r]`` and
+    ``bound[r]`` belong to the component with root ``r``: its vertices, the
+    number of edges of the stored matching inside it, and an upper bound on
+    its matching number.
     """
 
-    __slots__ = ("comps", "adj", "mate", "matched", "bound", "target",
-                 "trail", "flips")
+    __slots__ = ("parent", "members", "adj", "mate", "matched", "bound",
+                 "target", "trail", "flips")
 
     def __init__(self, n_vertices: int, target: int):
-        self.comps = _RollbackComponents(n_vertices)
+        self.parent = list(range(n_vertices))
+        self.members = [[v] for v in range(n_vertices)]
         self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
         self.mate = [-1] * n_vertices
         self.matched = [0] * n_vertices
         self.bound = [0] * n_vertices
         self.target = target
-        self.trail: list[tuple[int, int, int, int]] = []
+        # Per add: root, absorbed root or -1, old matched/bound, flips mark.
+        self.trail: list[tuple[int, int, int, int, int]] = []
         self.flips: list[tuple[int, int]] = []
 
     def add(self, u: int, v: int) -> bool:
         """Add edge uv; True while its component's matching number stays
         below ``target``."""
-        comps = self.comps
-        ra, rb = comps.find(u), comps.find(v)
+        parent, members = self.parent, self.members
+        ra = u
+        while parent[ra] != ra:
+            ra = parent[ra]
+        rb = v
+        while parent[rb] != rb:
+            rb = parent[rb]
         matched, bound = self.matched, self.bound
         if ra == rb:
             size, cap = matched[ra], bound[ra] + 1
+            rb = -1
         else:
             size, cap = matched[ra] + matched[rb], bound[ra] + bound[rb] + 1
-        root = comps.link(ra, rb)
+            if len(members[ra]) < len(members[rb]):
+                ra, rb = rb, ra
+            parent[rb] = ra
+            members[ra].extend(members[rb])
         flips = self.flips
-        self.trail.append((root, matched[root], bound[root], len(flips)))
-        half = comps.size[root] // 2
+        self.trail.append((ra, rb, matched[ra], bound[ra], len(flips)))
+        half = len(members[ra]) // 2
         if cap > half:
             cap = half
         adj, mate = self.adj, self.mate
@@ -179,20 +152,20 @@ class _ColorMatching:
             size += 1
         target = self.target
         if cap >= target and size < target:
-            for w in comps.members[root]:
+            for w in members[ra]:
                 if mate[w] == -1 and _augment(adj, mate, w, flips):
                     size += 1
                     if size >= target:
                         break
             else:
                 cap = size
-        matched[root] = size
-        bound[root] = cap
+        matched[ra] = size
+        bound[ra] = cap
         return size < target
 
     def remove(self, u: int, v: int) -> None:
         """Undo the latest ``add``, which must have been of edge uv."""
-        root, size, cap, mark = self.trail.pop()
+        root, absorbed, size, cap, mark = self.trail.pop()
         flips, mate = self.flips, self.mate
         while len(flips) > mark:
             w, m = flips.pop()
@@ -201,7 +174,10 @@ class _ColorMatching:
         self.bound[root] = cap
         self.adj[u].pop()
         self.adj[v].pop()
-        self.comps.undo()
+        if absorbed >= 0:
+            members = self.members
+            self.parent[absorbed] = absorbed
+            del members[root][-len(members[absorbed]):]
 
 
 class _BudgetExhausted(Exception):
@@ -246,17 +222,19 @@ class _Searcher:
         hi = min(cfg.color_count, max_used + 1) if cfg.color_first_use else cfg.color_count
         return range(lo, hi + 1)
 
-    def _dfs(self, idx: int, max_used: int) -> tuple[int, ...] | None:
-        """First full assignment below edge ``idx``, or None.
+    def _dfs(self, idx: int, max_used: int, end: int) -> Iterator[tuple[int, ...]]:
+        """Yield each viable assignment of the edges below ``end``, given
+        the edges below ``idx``; the yielded one is still applied.
 
         Iterative, as the depth is one level per edge: K_46 alone has 1,035.
         ``stack`` holds, per shallower edge, its untried colors and the
-        largest color used before it.
+        largest color used before it. ``self.nodes`` is exact at every yield
+        and exit; raises ``_BudgetExhausted`` when the budget runs out.
         """
         edge_list, color_of, classes = self.edge_list, self.color_of, self.classes
-        end = len(edge_list)
         if idx == end:
-            return tuple(color_of)
+            yield tuple(color_of[:end])
+            return
         budget = self.cfg.node_budget
         nodes = self.nodes
         stack: list[tuple[Iterator[int], int]] = []
@@ -266,7 +244,7 @@ class _Searcher:
                 color = next(choices, 0)
                 if color == 0:  # colors start at 1: this edge has none left
                     if not stack:
-                        return None
+                        return
                     choices, max_used = stack.pop()
                     idx -= 1
                     classes[color_of[idx]].remove(*edge_list[idx])
@@ -278,28 +256,28 @@ class _Searcher:
                 color_of[idx] = color
                 if classes[color].add(*edge_list[idx]):
                     if idx + 1 == end:
-                        return tuple(color_of)
-                    stack.append((choices, max_used))
-                    max_used = max(max_used, color)
-                    idx += 1
-                    choices = iter(self._choices(idx, max_used))
-                else:
-                    classes[color].remove(*edge_list[idx])
-                    color_of[idx] = 0
+                        self.nodes = nodes
+                        yield tuple(color_of[:end])
+                    else:
+                        stack.append((choices, max_used))
+                        max_used = max(max_used, color)
+                        idx += 1
+                        choices = iter(self._choices(idx, max_used))
+                        continue
+                classes[color].remove(*edge_list[idx])
+                color_of[idx] = 0
         finally:
             self.nodes = nodes
 
     def run(self) -> SearchResult:
         # Replay the prefix; a pruned prefix certifies its subtree empty.
         max_used = 0
-        depth = 0
-        for color in self.prefix:
+        for depth, color in enumerate(self.prefix):
             if not self._assign(depth, color):
                 return SearchResult(CERTIFIED_NONE, None, 0)
             max_used = max(max_used, color)
-            depth += 1
         try:
-            hit = self._dfs(depth, max_used)
+            hit = next(self._dfs(len(self.prefix), max_used, len(self.edge_list)), None)
         except _BudgetExhausted:
             return SearchResult(BUDGET_EXHAUSTED, None, self.nodes)
         if hit is None:
@@ -311,22 +289,6 @@ class _Searcher:
         g = complete_graph(self.cfg.vertex_count)
         assert find_mono_cm(g, coloring, self.cfg.n) is None
         return SearchResult(FOUND, coloring, self.nodes)
-
-    def prefixes(self, depth: int) -> list[tuple[int, ...]]:
-        """Viable assignments of the first ``depth`` edges."""
-        out: list[tuple[int, ...]] = []
-
-        def walk(idx: int, max_used: int, acc: tuple[int, ...]):
-            if idx == depth:
-                out.append(acc)
-                return
-            for color in self._choices(idx, max_used):
-                if self._assign(idx, color):
-                    walk(idx + 1, max(max_used, color), acc + (color,))
-                self._unassign(idx)
-
-        walk(0, 0, ())
-        return out
 
 
 def _run_subtree(cfg: SearchConfig, prefix: tuple[int, ...]) -> SearchResult:
@@ -341,10 +303,13 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
     exhausting the (symmetry-reduced) space, or BUDGET_EXHAUSTED once the
     node budget runs out; the latter two are never conflated.
 
-    With ``threads > 1`` the first edges are enumerated into prefixes and
-    each prefix's subtree gets a share of ``node_budget``; the shares sum to
-    at most the budget. The reported node count then covers the subtree
-    searches only, not the enumeration or the replay of the prefixes.
+    With ``threads > 1`` the same depth-first walk first enumerates the
+    viable colorings of the star at vertex 0 into prefixes, counting its
+    nodes against ``node_budget``; a budget spent there ends the search
+    before any worker starts. Each prefix's subtree then gets a share of the
+    rest, and the shares sum to it. The reported node count covers the
+    enumeration and the subtree searches, but not the replay of the
+    prefixes in the workers.
     """
     if cfg.vertex_count < cfg.n:
         # A connected matching of size n/2 covers n vertices, so any
@@ -358,19 +323,25 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
 
     edge_total = cfg.vertex_count * (cfg.vertex_count - 1) // 2
     depth = min(edge_total, max(2, cfg.vertex_count - 1))
-    prefixes = _Searcher(cfg).prefixes(depth)
+    enumerator = _Searcher(cfg)
+    try:
+        prefixes = list(enumerator._dfs(0, 0, depth))
+    except _BudgetExhausted:
+        return SearchResult(BUDGET_EXHAUSTED, None, enumerator.nodes)
+    nodes = enumerator.nodes
     if not prefixes:
-        return SearchResult(CERTIFIED_NONE, None, 0)
-    # Split the budget so the shares sum to it exactly; a prefix whose share
-    # is 0 counts as exhausted without being run.
-    share, extra = divmod(cfg.node_budget, len(prefixes))
+        return SearchResult(CERTIFIED_NONE, None, nodes)
+    # Split the rest of the budget so the shares sum to it exactly; a prefix
+    # whose share is 0 counts as exhausted without being run.
+    share, extra = divmod(cfg.node_budget - nodes, len(prefixes))
     budgets = [share + 1 if i < extra else share for i in range(len(prefixes))]
     runnable = [p for p, b in zip(prefixes, budgets) if b > 0]
+    if not runnable:
+        return SearchResult(BUDGET_EXHAUSTED, None, nodes)
     worker_cfgs = [
         replace(cfg, threads=1, node_budget=b) for b in budgets if b > 0
     ]
     exhausted = len(runnable) < len(prefixes)
-    nodes = 0
     # The pool starts every worker up front, so never ask for more than
     # there are subtrees or CPUs.
     workers = min(cfg.threads, len(runnable), os.cpu_count() or 1)

@@ -164,7 +164,11 @@ def test_construct_random_header_carries_seed(capsys):
     assert out2 == out  # byte-identical for identical argv and seed
 
 
-def test_search_exit_codes(capsys):
+def _no_pool(*args, **kwargs):
+    raise AssertionError("no worker pool may start")
+
+
+def test_search_exit_codes(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
         ["search", "--n-vertices", "4", "--k", "2", "--n", "4", "--exhaustive"],
@@ -189,6 +193,17 @@ def test_search_exit_codes(capsys):
     code, out, _ = run(
         capsys,
         ["search", "--n-vertices", "46", "--k", "40", "--n", "4", "--budget", "20000"],
+    )
+    assert code == 3
+    assert "budget exhausted" in out
+
+    # The parallel path must spend the budget on its prefix enumeration too,
+    # and end before it starts a pool.
+    monkeypatch.setattr("cmstruct.search.ProcessPoolExecutor", _no_pool)
+    code, out, _ = run(
+        capsys,
+        ["search", "--n-vertices", "46", "--k", "40", "--n", "4", "--budget", "20000",
+         "--threads", "2"],
     )
     assert code == 3
     assert "budget exhausted" in out

@@ -204,13 +204,24 @@ def test_parallel_search_caps_worker_count(monkeypatch, cpus, expected):
     assert capped.status == sequential.status == CERTIFIED_NONE
 
 
-def test_parallel_budget_shares_stay_within_budget(monkeypatch):
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig(6, 2, 4, node_budget=b, threads=2) for b in range(1, 41)]
+    # The star at vertex 0 of K_46 alone has about 2^44 colorings with 40
+    # colors: the prefix enumeration must stop at the budget.
+    + [SearchConfig(46, 40, 4, node_budget=20_000, threads=2)],
+    ids=lambda cfg: f"K{cfg.vertex_count}-budget{cfg.node_budget}",
+)
+def test_parallel_budget_shares_stay_within_budget(monkeypatch, cfg):
     monkeypatch.setattr(search_module, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "requested", [])
-    # K_6 splits into 5 star prefixes, more than the 3 nodes of budget.
-    result = search_avoider(SearchConfig(6, 2, 4, node_budget=3, threads=2))
+    result = search_avoider(cfg)
+    # Certifying K_6 takes 55 nodes, more than any budget here.
     assert result.status == BUDGET_EXHAUSTED
-    assert result.nodes <= 3
+    assert result.nodes <= cfg.node_budget
+    assert all(workers >= 1 for workers in _InProcessPool.requested)
+    if cfg.vertex_count == 46:
+        assert _InProcessPool.requested == []
 
 
 def _kernel_state(searcher):
@@ -220,8 +231,8 @@ def _kernel_state(searcher):
             list(cls.matched),
             list(cls.bound),
             [list(a) for a in cls.adj],
-            list(cls.comps.parent),
-            [list(m) for m in cls.comps.members],
+            list(cls.parent),
+            [list(m) for m in cls.members],
         )
         for cls in searcher.classes[1:]
     ]
@@ -260,6 +271,8 @@ def test_incremental_prune_matches_fresh_matching(size):
             while stack:
                 searcher._unassign(stack.pop())
             assert _kernel_state(searcher) == initial
+            for cls in searcher.classes[1:]:
+                assert cls.trail == [] and cls.flips == []
 
 
 def test_ramsey_values():
