@@ -201,24 +201,12 @@ def odd_components(g: Graph, removed: frozenset[int] | set[int]) -> list[frozens
 
     Sorted by size descending, then by smallest contained vertex id.
     """
-    removed = set(removed)
-    seen = set(removed)
-    comps: list[frozenset[int]] = []
-    for start in range(g.vertex_count):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(comp) % 2 == 1:
-            comps.append(frozenset(comp))
+    sub, ids = g.induced(v for v in range(g.vertex_count) if v not in removed)
+    comps = [
+        frozenset(ids[v] for v in comp)
+        for comp in components(sub).vertex_sets()
+        if len(comp) % 2 == 1
+    ]
     comps.sort(key=lambda c: (-len(c), min(c)))
     return comps
 

@@ -8,9 +8,9 @@ Symmetry reduction is deliberately lightweight and provably sound: colors
 are canonicalized by first use (color i+1 may first appear only after color
 i), and the colors along the star at vertex 0 may be required to be
 non-decreasing, since any coloring can be brought to that shape by permuting
-the other vertices and then renaming colors by first use. Certified verdicts
-never depend on worker count; with one worker the returned avoider is
-deterministic.
+the other vertices and then renaming colors by first use. The result (its
+status, node count and avoider) is deterministic and never depends on the
+worker count.
 
 The prune test is incremental and gives the same verdict as a fresh
 matching: a branch dies iff the component that the new edge joins in its
@@ -39,9 +39,13 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain, islice
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import wait
 
+from .bounds import _induced_coloring
 from .errors import OddNError
 from .graphs import EdgeColoring, complete_graph
 # max_connected_matching is unused here but kept as a public and traced name.
@@ -180,10 +184,6 @@ class _ColorMatching:
             del members[root][-len(members[absorbed]):]
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _Searcher:
     """Depth-first search over edge colorings of K_N."""
 
@@ -198,6 +198,7 @@ class _Searcher:
             _ColorMatching(n_vertices, cfg.n // 2) for _ in range(cfg.color_count)
         ]
         self.nodes = 0
+        self.exhausted = False
         self.prefix = prefix
 
     def _assign(self, idx: int, color: int) -> bool:
@@ -229,7 +230,8 @@ class _Searcher:
         Iterative, as the depth is one level per edge: K_46 alone has 1,035.
         ``stack`` holds, per shallower edge, its untried colors and the
         largest color used before it. ``self.nodes`` is exact at every yield
-        and exit; raises ``_BudgetExhausted`` when the budget runs out.
+        and exit; when the budget runs out the walk sets ``self.exhausted``
+        and ends.
         """
         edge_list, color_of, classes = self.edge_list, self.color_of, self.classes
         if idx == end:
@@ -251,7 +253,8 @@ class _Searcher:
                     color_of[idx] = 0
                     continue
                 if nodes >= budget:
-                    raise _BudgetExhausted
+                    self.exhausted = True
+                    return
                 nodes += 1
                 color_of[idx] = color
                 if classes[color].add(*edge_list[idx]):
@@ -276,9 +279,8 @@ class _Searcher:
             if not self._assign(depth, color):
                 return SearchResult(CERTIFIED_NONE, None, 0)
             max_used = max(max_used, color)
-        try:
-            hit = next(self._dfs(len(self.prefix), max_used, len(self.edge_list)), None)
-        except _BudgetExhausted:
+        hit = next(self._dfs(len(self.prefix), max_used, len(self.edge_list)), None)
+        if self.exhausted:
             return SearchResult(BUDGET_EXHAUSTED, None, self.nodes)
         if hit is None:
             return SearchResult(CERTIFIED_NONE, None, self.nodes)
@@ -291,8 +293,73 @@ class _Searcher:
         return SearchResult(FOUND, coloring, self.nodes)
 
 
-def _run_subtree(cfg: SearchConfig, prefix: tuple[int, ...]) -> SearchResult:
-    return _Searcher(cfg, prefix).run()
+def _serve(conn, fn) -> None:
+    """Worker process: answer each task the parent sends, until killed."""
+    while True:
+        conn.send(fn(conn.recv()))
+
+
+class _Pool:
+    """Worker processes for ``imap``, each talking to the parent over a pipe
+    of its own.
+
+    Leaving the ``with`` block kills the workers, also those busy with a
+    task. ``multiprocessing.Pool`` cannot do that safely: its workers share
+    one result queue and its lock, and a worker killed while it sends a
+    result leaves the lock held, so ``terminate`` can hang.
+    """
+
+    def __init__(self, processes: int):
+        self.processes = processes
+        self.workers: list = []  # (process, parent end of its pipe)
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for proc, conn in self.workers:
+            proc.kill()
+            proc.join()
+            conn.close()
+
+    def imap(self, fn, tasks):
+        """Yield ``fn(task)`` for each task in order, drawing the next task
+        only when a worker is free."""
+        tasks = enumerate(tasks)
+        idle = []
+        for _ in range(self.processes):
+            conn, child = Pipe()
+            proc = Process(target=_serve, args=(child, fn), daemon=True)
+            proc.start()
+            child.close()
+            self.workers.append((proc, conn))
+            idle.append(conn)
+        running: dict = {}  # connection -> index of its task
+        done: dict = {}  # index -> result not yet yielded
+        wanted = 0
+        while True:
+            for conn, (index, task) in zip(idle, tasks):
+                conn.send(task)
+                running[conn] = index
+            while wanted in done:
+                yield done.pop(wanted)
+                wanted += 1
+            if not running:
+                return
+            idle = wait(list(running))
+            for conn in idle:
+                done[running.pop(conn)] = conn.recv()
+
+
+def _run_subtree(
+    cfg: SearchConfig, mark: tuple[int, tuple[int, ...]]
+) -> tuple[int, SearchResult]:
+    """Search below one star prefix with the budget the walk left over;
+    ``mark`` is (walk nodes so far, prefix), and its node count comes back
+    with the result."""
+    walked, prefix = mark
+    sub = replace(cfg, threads=1, node_budget=max(1, cfg.node_budget - walked))
+    return walked, _Searcher(sub, prefix).run()
 
 
 def search_avoider(cfg: SearchConfig) -> SearchResult:
@@ -303,13 +370,14 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
     exhausting the (symmetry-reduced) space, or BUDGET_EXHAUSTED once the
     node budget runs out; the latter two are never conflated.
 
-    With ``threads > 1`` the same depth-first walk first enumerates the
-    viable colorings of the star at vertex 0 into prefixes, counting its
-    nodes against ``node_budget``; a budget spent there ends the search
-    before any worker starts. Each prefix's subtree then gets a share of the
-    rest, and the shares sum to it. The reported node count covers the
-    enumeration and the subtree searches, but not the replay of the
-    prefixes in the workers.
+    The result never depends on ``threads``: status, node count and avoider
+    are those of the sequential search. With ``threads > 1`` the same
+    depth-first walk colors the star at vertex 0 lazily, and the subtree
+    below each viable star coloring goes to a worker process. The parent
+    reads the subtree results in walk order and charges each one where the
+    sequential walk would have searched it, so the search ends as soon as
+    the sequential one would: at the first avoider or once the node budget
+    is spent.
     """
     if cfg.vertex_count < cfg.n:
         # A connected matching of size n/2 covers n vertices, so any
@@ -323,45 +391,26 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
 
     edge_total = cfg.vertex_count * (cfg.vertex_count - 1) // 2
     depth = min(edge_total, max(2, cfg.vertex_count - 1))
-    enumerator = _Searcher(cfg)
-    try:
-        prefixes = list(enumerator._dfs(0, 0, depth))
-    except _BudgetExhausted:
-        return SearchResult(BUDGET_EXHAUSTED, None, enumerator.nodes)
-    nodes = enumerator.nodes
-    if not prefixes:
-        return SearchResult(CERTIFIED_NONE, None, nodes)
-    # Split the rest of the budget so the shares sum to it exactly; a prefix
-    # whose share is 0 counts as exhausted without being run.
-    share, extra = divmod(cfg.node_budget - nodes, len(prefixes))
-    budgets = [share + 1 if i < extra else share for i in range(len(prefixes))]
-    runnable = [p for p, b in zip(prefixes, budgets) if b > 0]
-    if not runnable:
-        return SearchResult(BUDGET_EXHAUSTED, None, nodes)
-    worker_cfgs = [
-        replace(cfg, threads=1, node_budget=b) for b in budgets if b > 0
-    ]
-    exhausted = len(runnable) < len(prefixes)
-    # The pool starts every worker up front, so never ask for more than
-    # there are subtrees or CPUs.
-    workers = min(cfg.threads, len(runnable), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for result in pool.map(_run_subtree, worker_cfgs, runnable):
-            nodes += result.nodes
-            if result.status == FOUND:
-                return SearchResult(FOUND, result.coloring, nodes)
-            if result.status == BUDGET_EXHAUSTED:
-                exhausted = True
-    status = BUDGET_EXHAUSTED if exhausted else CERTIFIED_NONE
-    return SearchResult(status, None, nodes)
-
-
-def restrict_coloring(coloring: EdgeColoring, keep: int) -> EdgeColoring:
-    """Coloring induced on the first ``keep`` vertices of a complete graph."""
-    kept = {
-        e: c for e, c in coloring.assignment.items() if e[0] < keep and e[1] < keep
-    }
-    return EdgeColoring(coloring.color_count, kept)
+    walker = _Searcher(cfg)
+    marks = ((walker.nodes, prefix) for prefix in walker._dfs(0, 0, depth))
+    # At most one worker per CPU and per subtree.
+    head = list(islice(marks, min(cfg.threads, os.cpu_count() or 1)))
+    spent = 0  # nodes of the subtrees charged so far
+    if head:
+        # Leaving the block kills the workers that ran ahead.
+        with _Pool(processes=len(head)) as pool:
+            results = pool.imap(partial(_run_subtree, cfg), chain(head, marks))
+            for walked, result in results:
+                spent += result.nodes
+                if (result.status == BUDGET_EXHAUSTED
+                        or walked + spent > cfg.node_budget):
+                    return SearchResult(BUDGET_EXHAUSTED, None, cfg.node_budget)
+                if result.status == FOUND:
+                    return SearchResult(FOUND, result.coloring, walked + spent)
+    nodes = walker.nodes + spent
+    if walker.exhausted or nodes > cfg.node_budget:
+        return SearchResult(BUDGET_EXHAUSTED, None, cfg.node_budget)
+    return SearchResult(CERTIFIED_NONE, None, nodes)
 
 
 def ramsey_cm(
@@ -394,8 +443,9 @@ def ramsey_cm(
         if result.status != FOUND:
             break
         if size >= 2:
-            shrunk = restrict_coloring(result.coloring, size - 1)
-            sub = complete_graph(size - 1)
+            sub, shrunk = _induced_coloring(
+                complete_graph(size), result.coloring, range(size - 1)
+            )
             assert find_mono_cm(sub, shrunk, n) is None, (
                 "restriction of an avoider must avoid"
             )

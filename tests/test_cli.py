@@ -164,11 +164,12 @@ def test_construct_random_header_carries_seed(capsys):
     assert out2 == out  # byte-identical for identical argv and seed
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("no worker pool may start")
+def _body(out):
+    """Stdout after the header line, which echoes the arguments."""
+    return out.split("\n", 1)[1]
 
 
-def test_search_exit_codes(capsys, monkeypatch):
+def test_search_exit_codes(capsys, in_process_pool):
     code, out, _ = run(
         capsys,
         ["search", "--n-vertices", "4", "--k", "2", "--n", "4", "--exhaustive"],
@@ -190,23 +191,26 @@ def test_search_exit_codes(capsys, monkeypatch):
     assert code == 3
     assert "budget exhausted" in out
 
-    code, out, _ = run(
-        capsys,
-        ["search", "--n-vertices", "46", "--k", "40", "--n", "4", "--budget", "20000"],
-    )
+    argv = ["search", "--n-vertices", "46", "--k", "40", "--n", "4", "--budget", "20000"]
+    code, out, _ = run(capsys, argv)
     assert code == 3
     assert "budget exhausted" in out
 
-    # The parallel path must spend the budget on its prefix enumeration too,
-    # and end before it starts a pool.
-    monkeypatch.setattr("cmstruct.search.ProcessPoolExecutor", _no_pool)
-    code, out, _ = run(
-        capsys,
-        ["search", "--n-vertices", "46", "--k", "40", "--n", "4", "--budget", "20000",
-         "--threads", "2"],
-    )
+    # The parallel search ends where the sequential one does, with the same
+    # report.
+    code, parallel, _ = run(capsys, argv + ["--threads", "2"])
     assert code == 3
-    assert "budget exhausted" in out
+    assert _body(parallel) == _body(out)
+
+
+@pytest.mark.parametrize("size, expected", [(4, 0), (5, 2)])
+def test_parallel_search_report_matches_sequential(capsys, size, expected):
+    argv = ["search", "--n-vertices", str(size), "--k", "2", "--n", "4", "--exhaustive"]
+    code, out, _ = run(capsys, argv)
+    assert code == expected
+    code, parallel, _ = run(capsys, argv + ["--threads", "2"])
+    assert code == expected
+    assert _body(parallel) == _body(out)
 
 
 def test_ramsey_command(capsys):

@@ -1,5 +1,8 @@
 import itertools
 import random
+import time
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +13,7 @@ from cmstruct import (
     EdgeColoring,
     Graph,
     SearchConfig,
+    SearchResult,
     check_witness,
     complete_graph,
     disjoint_union,
@@ -168,60 +172,105 @@ def test_pruning_safety_matches_unpruned_and_brute():
 
 
 def test_parallel_search_agrees_with_sequential():
-    sequential = search_avoider(SearchConfig(5, 2, 4))
-    parallel = search_avoider(SearchConfig(5, 2, 4, threads=2))
-    assert sequential.status == parallel.status == CERTIFIED_NONE
-    assert search_avoider(SearchConfig(4, 2, 4, threads=2)).status == FOUND
+    for size in (4, 5):
+        sequential = search_avoider(SearchConfig(size, 2, 4))
+        assert search_avoider(SearchConfig(size, 2, 4, threads=2)) == sequential
+    assert sequential.status == CERTIFIED_NONE
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps here."""
-
-    requested: list[int] = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def test_parallel_search_certifies_within_sequential_budget():
+    # Sequential search certifies K_11 after exactly 62,235 nodes; the
+    # parallel search must too, with no budget lost to its split.
+    result = search_avoider(SearchConfig(11, 2, 6, node_budget=62_235, threads=2))
+    assert result == SearchResult(CERTIFIED_NONE, None, 62_235)
 
 
 @pytest.mark.parametrize("cpus, expected", [(64, 4), (3, 3), (None, 1)])
-def test_parallel_search_caps_worker_count(monkeypatch, cpus, expected):
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _InProcessPool)
+def test_parallel_search_caps_worker_count(in_process_pool, monkeypatch, cpus, expected):
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_InProcessPool, "requested", [])
     sequential = search_avoider(SearchConfig(5, 2, 4))
     capped = search_avoider(SearchConfig(5, 2, 4, threads=100000))
     # K_5 splits into 4 star prefixes at vertex 0.
-    assert _InProcessPool.requested == [expected]
-    assert capped.status == sequential.status == CERTIFIED_NONE
+    assert in_process_pool == [expected]
+    assert capped == sequential
+    assert sequential.status == CERTIFIED_NONE
+
+
+def _slow_square(x):
+    time.sleep(x / 20)
+    return x * x
+
+
+def test_pool_yields_in_task_order_and_kills_busy_workers():
+    with search_module._Pool(processes=2) as pool:
+        # The first task finishes last; its result must still come first.
+        assert list(pool.imap(_slow_square, [4, 0, 1, 2])) == [16, 0, 1, 4]
+    with search_module._Pool(processes=2) as pool:
+        results = pool.imap(_slow_square, [0, 600, 600])
+        assert next(results) == 0
+        start = time.monotonic()
+    # Leaving the block must not wait for the ten-minute tasks.
+    assert time.monotonic() - start < 60
+    assert not any(proc.is_alive() for proc, _ in pool.workers)
+
+
+def _check_parallel_equals_sequential(monkeypatch, cfg, threads):
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
+    sequential = search_avoider(replace(cfg, threads=1))
+    for t in threads:
+        parallel = search_avoider(replace(cfg, threads=t))
+        assert parallel == sequential, (cfg, t)
+        assert parallel.nodes <= cfg.node_budget
+    return sequential
 
 
 @pytest.mark.parametrize(
     "cfg",
     [SearchConfig(6, 2, 4, node_budget=b, threads=2) for b in range(1, 41)]
     # The star at vertex 0 of K_46 alone has about 2^44 colorings with 40
-    # colors: the prefix enumeration must stop at the budget.
+    # colors: the walk over it must stop at the budget.
     + [SearchConfig(46, 40, 4, node_budget=20_000, threads=2)],
     ids=lambda cfg: f"K{cfg.vertex_count}-budget{cfg.node_budget}",
 )
-def test_parallel_budget_shares_stay_within_budget(monkeypatch, cfg):
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "requested", [])
-    result = search_avoider(cfg)
+def test_parallel_budget_shares_stay_within_budget(in_process_pool, monkeypatch, cfg):
+    result = _check_parallel_equals_sequential(monkeypatch, cfg, (2, 8))
     # Certifying K_6 takes 55 nodes, more than any budget here.
     assert result.status == BUDGET_EXHAUSTED
-    assert result.nodes <= cfg.node_budget
-    assert all(workers >= 1 for workers in _InProcessPool.requested)
-    if cfg.vertex_count == 46:
-        assert _InProcessPool.requested == []
+    assert result.nodes == cfg.node_budget
+    assert all(workers >= 1 for workers in in_process_pool)
+
+
+@pytest.mark.parametrize("threads", [2, 8])
+@pytest.mark.parametrize(
+    "shape",
+    [(7, 3, 4), (8, 2, 6), (5, 2, 4), (6, 2, 4), (7, 2, 6), (8, 3, 4)]
+    # An avoider found in a later subtree, after the budget would have run
+    # out at s - 1.
+    + [(7, 4, 4)],
+    ids=lambda shape: "K{}-k{}-n{}".format(*shape),
+)
+def test_parallel_search_equals_sequential(in_process_pool, monkeypatch, shape, threads):
+    full = search_avoider(SearchConfig(*shape)).nodes
+    for budget in sorted({1, 2, 5, 37, 1000, full - 1, full, full + 1}):
+        cfg = SearchConfig(*shape, node_budget=budget)
+        _check_parallel_equals_sequential(monkeypatch, cfg, (threads,))
+
+
+def test_parallel_search_memory_stays_flat(in_process_pool, monkeypatch):
+    # The star walk hands out one prefix at a time, so five times the budget
+    # must not mean five times the memory.
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
+    peaks = []
+    for budget in (20_000, 100_000):
+        cfg = SearchConfig(46, 40, 4, node_budget=budget, threads=2)
+        tracemalloc.start()
+        try:
+            result = search_avoider(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result == SearchResult(BUDGET_EXHAUSTED, None, budget)
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def _kernel_state(searcher):
