@@ -1,13 +1,16 @@
 """Maximum matching, deficiency witnesses and connected-matching detection.
 
-The matching routine is an array-based Edmonds blossom search: repeated BFS
-for augmenting paths with blossom contraction tracked through ``base``
-pointers, O(V^3) overall. Vertices are always scanned in ascending id order,
-so results are deterministic for a fixed input.
+One Edmonds forest search, ``_Forest.augment``, serves everything here and
+the search kernel above: a BFS that grows alternating trees from a given set
+of exposed roots, contracts blossoms through ``base`` pointers, and flips
+the path it finds. Its arrays are allocated once per ``_Forest`` and reset
+entry by entry after each search. A maximum matching runs it from one
+exposed vertex at a time, O(V^3) overall. Vertices are always scanned in
+ascending id order, so results are deterministic for a fixed input.
 
 Deficiency witnesses follow Gallai-Edmonds (Lovász-Plummer, *Matching
-Theory*, ch. 3): one maximum matching plus one failed blossom search per
-exposed vertex, also O(V^3).
+Theory*, ch. 3): one maximum matching plus one failed forest search rooted
+at all its exposed vertices, whose outer vertices are D, also O(V^3).
 
 A connected matching is a matching whose edges all lie in one component of
 the host graph. The detector scans color classes component by component and
@@ -18,7 +21,6 @@ a connected matching of size n/2.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -58,89 +60,151 @@ class DeficiencyWitness:
     odd_components: tuple[frozenset[int], ...]
 
 
-def _lowest_common_base(mate: list[int], parent: list[int], base: list[int],
-                        a: int, b: int) -> int:
-    seen = [False] * len(mate)
-    while True:
-        a = base[a]
-        seen[a] = True
-        if mate[a] == -1:
-            break
-        a = parent[mate[a]]
-    while True:
-        b = base[b]
-        if seen[b]:
-            return b
-        b = parent[mate[b]]
+class _Forest:
+    """Reusable arrays of one Edmonds forest search on vertices 0..V-1.
 
-
-def _mark_blossom_path(mate: list[int], parent: list[int], base: list[int],
-                       v: int, root_base: int, child: int,
-                       in_blossom: list[bool]) -> None:
-    while base[v] != root_base:
-        in_blossom[base[v]] = True
-        in_blossom[base[mate[v]]] = True
-        parent[v] = child
-        child = mate[v]
-        v = parent[mate[v]]
-
-
-def _augment(adj: tuple[tuple[int, ...], ...] | list[list[int]],
-             mate: list[int], root: int,
-             log: list[tuple[int, int]] | None = None,
-             outer: set[int] | None = None) -> bool:
-    """One blossom BFS for an augmenting path from the exposed ``root``.
-
-    If a path is found, flips it in ``mate`` (one more matched edge) and
-    returns True. Each overwritten entry is appended to ``log`` as
-    ``(vertex, previous mate)``, so a caller can undo the flip by restoring
-    the log in reverse. Only ``root``'s component of ``adj`` is explored.
-    Otherwise the search's outer (even) vertices are added to ``outer``.
+    ``augment`` grows one alternating forest from a set of exposed roots,
+    breadth first and in ascending neighbor order, contracting blossoms
+    through ``base`` pointers. ``parent`` links the inner vertices (and,
+    after a contraction, the outer ones on the blossom) to the path back to
+    their root; ``even`` marks the outer vertices. Every search resets the
+    entries it touched before it returns, so one object serves any number
+    of searches without allocating per search.
     """
-    n = len(adj)
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
-    queue = deque([root])
-    in_queue[root] = True
-    while queue:
-        v = queue.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or mate[v] == to:
-                continue
-            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                # Odd cycle through two even-level vertices: contract it.
-                root_base = _lowest_common_base(mate, parent, base, v, to)
-                in_blossom = [False] * n
-                _mark_blossom_path(mate, parent, base, v, root_base, to, in_blossom)
-                _mark_blossom_path(mate, parent, base, to, root_base, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = root_base
-                        if not in_queue[i]:
-                            in_queue[i] = True
-                            queue.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if mate[to] == -1:
-                    # Augmenting path found: flip matched edges back to root.
-                    u = to
-                    while u != -1:
-                        pv = parent[u]
-                        next_u = mate[pv]
-                        if log is not None:
-                            log.append((u, mate[u]))
-                            log.append((pv, next_u))
-                        mate[u] = pv
-                        mate[pv] = u
-                        u = next_u
-                    return True
-                if not in_queue[mate[to]]:
-                    in_queue[mate[to]] = True
-                    queue.append(mate[to])
-    if outer is not None:
-        outer.update(i for i in range(n) if in_queue[i])
-    return False
+
+    __slots__ = ("parent", "base", "even", "seen", "in_blossom", "queue", "inner")
+
+    def __init__(self, vertex_count: int):
+        self.parent = [-1] * vertex_count
+        self.base = list(range(vertex_count))
+        self.even = [False] * vertex_count
+        self.seen = [False] * vertex_count  # scratch of the common-base walk
+        self.in_blossom = [False] * vertex_count  # scratch of a contraction
+        self.queue: list[int] = []  # the outer vertices of the last search
+        self.inner: list[int] = []  # the inner vertices of the last search
+
+    def _common_base(self, mate: list[int], a: int, b: int) -> int:
+        """Base of the blossom closed by the edge ab of two outer vertices,
+        or -1 if they lie in different trees."""
+        parent, base, seen = self.parent, self.base, self.seen
+        path = []
+        while True:
+            a = base[a]
+            seen[a] = True
+            path.append(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                break
+            if mate[b] == -1:
+                b = -1
+                break
+            b = parent[mate[b]]
+        for a in path:
+            seen[a] = False
+        return b
+
+    def _mark_blossom_path(self, mate: list[int], v: int, root_base: int,
+                           child: int, marked: list[int]) -> None:
+        parent, base, in_blossom = self.parent, self.base, self.in_blossom
+        while base[v] != root_base:
+            for b in (base[v], base[mate[v]]):
+                if not in_blossom[b]:
+                    in_blossom[b] = True
+                    marked.append(b)
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def _flip(self, mate: list[int], u: int,
+              log: list[tuple[int, int]] | None) -> None:
+        """Flip the alternating path from ``u`` back to its root: ``u`` is
+        matched to its parent, the parent's old mate to its own parent, and
+        so on (nothing if ``u`` is -1)."""
+        parent = self.parent
+        while u != -1:
+            pu = parent[u]
+            next_u = mate[pu]
+            if log is not None:
+                log.append((u, mate[u]))
+                log.append((pu, next_u))
+            mate[u] = pu
+            mate[pu] = u
+            u = next_u
+
+    def augment(self, adj: tuple[tuple[int, ...], ...] | list[list[int]],
+                mate: list[int], roots: list[int] | tuple[int, ...],
+                log: list[tuple[int, int]] | None = None) -> bool:
+        """Search for an augmenting path from the exposed ``roots``.
+
+        Exactly when an augmenting path joins two roots, or a root and an
+        exposed vertex outside ``roots``, one is found and flipped in
+        ``mate`` (one more matched edge), and True is returned. Each
+        overwritten entry is appended to ``log`` as ``(vertex, previous
+        mate)``, so a caller can undo the flip by restoring the log in
+        reverse. Only the roots' components of ``adj`` are explored. After a
+        failed search, ``queue`` lists its outer vertices.
+        """
+        parent, base, even = self.parent, self.base, self.even
+        queue, inner = self.queue, self.inner
+        queue.clear()
+        inner.clear()
+        for r in roots:
+            even[r] = True
+            queue.append(r)
+        found = False
+        head = 0
+        while head < len(queue) and not found:
+            v = queue[head]
+            head += 1
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if even[to]:
+                    root_base = self._common_base(mate, v, to)
+                    if root_base == -1:
+                        # Two trees meet: flip the half-path of ``to`` to
+                        # its root, then treat ``to`` as reached from v.
+                        self._flip(mate, mate[to], log)
+                        parent[to] = v
+                        found = True
+                        break
+                    # Odd cycle through two outer vertices of one tree:
+                    # contract it.
+                    marked: list[int] = []
+                    self._mark_blossom_path(mate, v, root_base, to, marked)
+                    self._mark_blossom_path(mate, to, root_base, v, marked)
+                    in_blossom = self.in_blossom
+                    for i in range(len(adj)):
+                        if in_blossom[base[i]]:
+                            base[i] = root_base
+                            if not even[i]:
+                                even[i] = True
+                                queue.append(i)
+                    for b in marked:
+                        in_blossom[b] = False
+                elif parent[to] == -1:
+                    parent[to] = v
+                    inner.append(to)
+                    if mate[to] == -1:
+                        found = True
+                        break
+                    if not even[mate[to]]:
+                        even[mate[to]] = True
+                        queue.append(mate[to])
+        if found:
+            self._flip(mate, to, log)
+        for w in queue:
+            parent[w] = -1
+            base[w] = w
+            even[w] = False
+        for w in inner:
+            parent[w] = -1
+            base[w] = w
+        return found
 
 
 def _max_matching_mates(adj: tuple[tuple[int, ...], ...] | list[list[int]],
@@ -168,10 +232,11 @@ def _max_matching_mates(adj: tuple[tuple[int, ...], ...] | list[list[int]],
 
     # By Edmonds' lemma a vertex with no augmenting path keeps none after
     # other augmentations, so one try per exposed vertex suffices.
+    forest = _Forest(n)
     for v in range(n):
         if stop_at is not None and size >= stop_at:
             break
-        if mate[v] == -1 and _augment(adj, mate, v):
+        if mate[v] == -1 and forest.augment(adj, mate, (v,)):
             size += 1
     return mate
 
@@ -216,16 +281,19 @@ def tutte_berge(g: Graph) -> DeficiencyWitness:
 
     The witness is the set of vertices outside D with a neighbor in D, where
     D collects every vertex missed by at least one maximum matching: the
-    outer vertices of a failed blossom search from each exposed vertex of
-    one maximum matching. The returned set attains the maximum of
+    outer vertices of one failed forest search rooted at every exposed
+    vertex of one maximum matching (the even-alternating reach of the
+    exposed vertices). The returned set attains the maximum of
     odd_components(G-S) - |S| over all S.
     """
     mate = _max_matching_mates(g.adjacency)
-    deficiency = mate.count(-1)
-    inessential: set[int] = set()
-    for root, m in enumerate(mate):
-        if m == -1:  # no augmenting path, as the matching is maximum
-            _augment(g.adjacency, mate, root, outer=inessential)
+    exposed = [v for v, m in enumerate(mate) if m == -1]
+    deficiency = len(exposed)
+    forest = _Forest(g.vertex_count)
+    # The matching is maximum, so the search fails; its outer vertices are D.
+    augmented = forest.augment(g.adjacency, mate, exposed)
+    assert not augmented, "maximum matching was augmented"
+    inessential = set(forest.queue)
     witness = frozenset(
         u
         for v in inessential

@@ -23,11 +23,19 @@ size <= nu <= bound throughout:
   A and B gets bound(A) + bound(B) + 1, an edge inside one component gets
   bound + 1, and either is capped at half the component's order.
 - If both ends are exposed they are matched at once.
-- Only when bound >= n/2 > size does the search look further: one blossom
-  BFS for an augmenting path from each exposed vertex of the component. By
-  Edmonds' lemma a vertex with no augmenting path still has none after the
-  matching grows along other paths, so one try per vertex leaves a maximum
-  matching, and the bound drops to its size.
+- Only when bound >= n/2 > size does the search look further, with an
+  Edmonds forest search for an augmenting path (``matching._Forest``).
+  If every merged part was tight (bound == size) before the edge uv, the
+  stored matching was maximum in the graph without uv. So every
+  augmenting path of the graph with uv uses uv, and one search decides:
+  rooted at an exposed end of uv, which is then an end of every such
+  path, or else at all exposed vertices of the component. Success raises
+  the size to the bound; failure proves the matching maximum, and the
+  bound drops to its size.
+- Otherwise the search is rooted at all exposed vertices of the
+  component, where it finds an augmenting path iff one exists, and it
+  repeats until it fails (the bound drops to the size) or the size reaches
+  n/2: at most n/2 - size + 1 searches.
 
 So the branch is viable iff the stored size stays below n/2. The kernel
 also keeps the components, as a union-find with member lists. Each added
@@ -42,14 +50,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
-from multiprocessing import Pipe, Process
+from multiprocessing import Pipe, Process, parent_process
 from multiprocessing.connection import wait
+from threading import Thread
 
 from .bounds import _induced_coloring
 from .errors import OddNError
 from .graphs import EdgeColoring, complete_graph
 # max_connected_matching is unused here but kept as a public and traced name.
-from .matching import _augment, find_mono_cm, max_connected_matching  # noqa: F401
+from .matching import _Forest, find_mono_cm, max_connected_matching  # noqa: F401
 
 FOUND = "found"
 CERTIFIED_NONE = "certified_none"
@@ -67,6 +76,10 @@ class SearchConfig:
     vertex_canonicalization: bool = True
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise ValueError("vertex_count must be >= 0")
+        if self.color_count < 1:
+            raise ValueError("color_count must be >= 1")
         if self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
         if self.threads < 1:
@@ -102,13 +115,14 @@ class _ColorMatching:
     ``parent`` links the union-find, and ``members[r]``, ``matched[r]`` and
     ``bound[r]`` belong to the component with root ``r``: its vertices, the
     number of edges of the stored matching inside it, and an upper bound on
-    its matching number.
+    its matching number. ``forest`` holds the arrays of the blossom search,
+    which every color class of one search shares.
     """
 
     __slots__ = ("parent", "members", "adj", "mate", "matched", "bound",
-                 "target", "trail", "flips")
+                 "target", "trail", "flips", "forest")
 
-    def __init__(self, n_vertices: int, target: int):
+    def __init__(self, n_vertices: int, target: int, forest: _Forest):
         self.parent = list(range(n_vertices))
         self.members = [[v] for v in range(n_vertices)]
         self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
@@ -119,6 +133,7 @@ class _ColorMatching:
         # Per add: root, absorbed root or -1, old matched/bound, flips mark.
         self.trail: list[tuple[int, int, int, int, int]] = []
         self.flips: list[tuple[int, int]] = []
+        self.forest = forest
 
     def add(self, u: int, v: int) -> bool:
         """Add edge uv; True while its component's matching number stays
@@ -140,6 +155,8 @@ class _ColorMatching:
                 ra, rb = rb, ra
             parent[rb] = ra
             members[ra].extend(members[rb])
+        # Tight: the stored matching was maximum in every merged part.
+        tight = cap == size + 1
         flips = self.flips
         self.trail.append((ra, rb, matched[ra], bound[ra], len(flips)))
         half = len(members[ra]) // 2
@@ -156,11 +173,21 @@ class _ColorMatching:
             size += 1
         target = self.target
         if cap >= target and size < target:
-            for w in members[ra]:
-                if mate[w] == -1 and _augment(adj, mate, w, flips):
-                    size += 1
-                    if size >= target:
-                        break
+            # After a tight edge every augmenting path uses uv, and an
+            # exposed end of uv is an end of each: one search decides, and
+            # its success meets the target.
+            if tight and mate[u] == -1:
+                roots = [u]
+            elif tight and mate[v] == -1:
+                roots = [v]
+            else:
+                roots = [w for w in members[ra] if mate[w] == -1]
+            augment = self.forest.augment
+            while augment(adj, mate, roots, flips):
+                size += 1
+                if size >= target:
+                    break
+                roots = [w for w in members[ra] if mate[w] == -1]
             else:
                 cap = size
         matched[ra] = size
@@ -194,8 +221,10 @@ class _Searcher:
             (u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
         ]
         self.color_of = [0] * len(self.edge_list)
+        forest = _Forest(n_vertices)
         self.classes = [None] + [
-            _ColorMatching(n_vertices, cfg.n // 2) for _ in range(cfg.color_count)
+            _ColorMatching(n_vertices, cfg.n // 2, forest)
+            for _ in range(cfg.color_count)
         ]
         self.nodes = 0
         self.exhausted = False
@@ -233,7 +262,11 @@ class _Searcher:
         and exit; when the budget runs out the walk sets ``self.exhausted``
         and ends.
         """
-        edge_list, color_of, classes = self.edge_list, self.color_of, self.classes
+        color_of = self.color_of
+        tails = [u for u, _ in self.edge_list]
+        heads = [v for _, v in self.edge_list]
+        adds = [None] + [cls.add for cls in self.classes[1:]]
+        removes = [None] + [cls.remove for cls in self.classes[1:]]
         if idx == end:
             yield tuple(color_of[:end])
             return
@@ -249,7 +282,7 @@ class _Searcher:
                         return
                     choices, max_used = stack.pop()
                     idx -= 1
-                    classes[color_of[idx]].remove(*edge_list[idx])
+                    removes[color_of[idx]](tails[idx], heads[idx])
                     color_of[idx] = 0
                     continue
                 if nodes >= budget:
@@ -257,7 +290,7 @@ class _Searcher:
                     return
                 nodes += 1
                 color_of[idx] = color
-                if classes[color].add(*edge_list[idx]):
+                if adds[color](tails[idx], heads[idx]):
                     if idx + 1 == end:
                         self.nodes = nodes
                         yield tuple(color_of[:end])
@@ -267,7 +300,7 @@ class _Searcher:
                         idx += 1
                         choices = iter(self._choices(idx, max_used))
                         continue
-                classes[color].remove(*edge_list[idx])
+                removes[color](tails[idx], heads[idx])
                 color_of[idx] = 0
         finally:
             self.nodes = nodes
@@ -293,8 +326,16 @@ class _Searcher:
         return SearchResult(FOUND, coloring, self.nodes)
 
 
+def _exit_with_parent() -> None:
+    """End this worker process as soon as its parent process is gone."""
+    wait([parent_process().sentinel])
+    os._exit(1)
+
+
 def _serve(conn, fn) -> None:
-    """Worker process: answer each task the parent sends, until killed."""
+    """Worker process: answer each task the parent sends, until killed or
+    until the parent dies, also by a signal that skips its clean-up."""
+    Thread(target=_exit_with_parent, daemon=True).start()
     while True:
         conn.send(fn(conn.recv()))
 

@@ -202,6 +202,19 @@ def test_search_exit_codes(capsys, in_process_pool):
     assert code == 3
     assert _body(parallel) == _body(out)
 
+    # With no colors or a negative order there is nothing to search: a
+    # usage error before the header, never a certification.
+    for n_vertices, k, message in [
+        ("5", "0", "color_count"),
+        ("5", "-1", "color_count"),
+        ("3", "0", "color_count"),
+        ("-3", "2", "vertex_count"),
+    ]:
+        argv = ["search", "--n-vertices", n_vertices, "--k", k, "--n", "4"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
 
 @pytest.mark.parametrize("size, expected", [(4, 0), (5, 2)])
 def test_parallel_search_report_matches_sequential(capsys, size, expected):

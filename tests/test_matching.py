@@ -165,6 +165,74 @@ def test_no_augmenting_path_certifies_maximality():
         assert not has_augmenting_path(g, m.edges)
 
 
+def _all_matchings(edges, used=frozenset()):
+    """Every matching of ``edges`` (sorted pairs) avoiding ``used``."""
+    if not edges:
+        yield []
+        return
+    (u, v), rest = edges[0], edges[1:]
+    yield from _all_matchings(rest, used)
+    if u not in used and v not in used:
+        for m in _all_matchings(rest, used | {u, v}):
+            yield [(u, v), *m]
+
+
+def _is_reset(forest, n):
+    return (
+        forest.parent == [-1] * n
+        and forest.base == list(range(n))
+        and forest.even == [False] * n
+        and forest.seen == [False] * n
+        and forest.in_blossom == [False] * n
+    )
+
+
+def _check_forest_search(forest, g, matching):
+    n = g.vertex_count
+    mate = [-1] * n
+    for u, v in matching:
+        mate[u], mate[v] = v, u
+    before = list(mate)
+    log: list = []
+    roots = [v for v in range(n) if mate[v] == -1]
+    found = forest.augment(g.adjacency, mate, roots, log)
+    assert found == has_augmenting_path(g, matching)
+    assert _is_reset(forest, n)
+    if found:
+        assert all(mate[mate[v]] == v for v in range(n) if mate[v] != -1)
+        assert all(g.has_edge(v, m) for v, m in enumerate(mate) if m != -1)
+        assert sum(m != -1 for m in mate) == 2 * len(matching) + 2
+        for v, m in reversed(log):
+            mate[v] = m
+    else:
+        assert log == []
+    assert mate == before
+
+
+def test_forest_search_against_augmenting_path_oracle():
+    # All exposed vertices as roots: an augmenting path exists iff the search
+    # finds one, and undoing its log restores the matching.
+    for n in range(6):
+        forest = matching_module._Forest(n)
+        for g in all_graphs(n):
+            for matching in _all_matchings(sorted(g.edges)):
+                _check_forest_search(forest, g, matching)
+    rng = random.Random(29)
+    forests = {n: matching_module._Forest(n) for n in range(11)}
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.random())
+        edges = sorted(g.edges)
+        rng.shuffle(edges)
+        used: set = set()
+        matching = []
+        for u, v in edges:  # a random matching, often not maximum
+            if u not in used and v not in used and rng.random() < 0.7:
+                matching.append((u, v))
+                used.update((u, v))
+        _check_forest_search(forests[n], g, matching)
+
+
 def test_berge_bound_for_random_matchings():
     # Every matching misses at least q(G-S) - |S| vertices for the witness S.
     rng = random.Random(17)

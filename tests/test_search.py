@@ -1,5 +1,11 @@
+import collections
 import itertools
+import os
 import random
+import select
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -214,6 +220,61 @@ def test_pool_yields_in_task_order_and_kills_busy_workers():
     assert not any(proc.is_alive() for proc, _ in pool.workers)
 
 
+# Runs a real pool on two ten-minute tasks and prints the worker pids once
+# both workers have started.
+_POOL_SCRIPT = """
+import time
+from cmstruct.search import _Pool
+
+def tasks():
+    yield 600
+    print(*(proc.pid for proc, _ in pool.workers), flush=True)
+    yield 600
+
+with _Pool(processes=2) as pool:
+    next(pool.imap(time.sleep, tasks()))
+"""
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_pool_workers_end_with_a_killed_parent():
+    src = os.path.dirname(os.path.dirname(search_module.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _POOL_SCRIPT], stdout=subprocess.PIPE, env=env
+    )
+    pids: list[int] = []
+    try:
+        ready, _, _ = select.select([child.stdout], [], [], 60)
+        assert ready, "the pool never started its workers"
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        # SIGTERM ends the parent at once: no clean-up of its own runs.
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_running(pid) for pid in pids)
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 def _check_parallel_equals_sequential(monkeypatch, cfg, threads):
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
     sequential = search_avoider(replace(cfg, threads=1))
@@ -287,11 +348,50 @@ def _kernel_state(searcher):
     ]
 
 
+def _root(cls, x):
+    while cls.parent[x] != x:
+        x = cls.parent[x]
+    return x
+
+
+def _expected_trigger(cls, u, v):
+    """What adding uv to ``cls`` sets up for a prune trigger: its shape,
+    the exposed ends of uv, the exposed vertices of the merged component
+    and its stored matching size, all after the exposed-pair shortcut."""
+    ra, rb = _root(cls, u), _root(cls, v)
+    parts = {ra, rb}
+    tight = all(cls.bound[r] == cls.matched[r] for r in parts)
+    exposed = {w for r in parts for w in cls.members[r] if cls.mate[w] == -1}
+    size = sum(cls.matched[r] for r in parts)
+    if {u, v} <= exposed:  # matched at once
+        exposed -= {u, v}
+        size += 1
+    ends = [w for w in (u, v) if w in exposed]
+    if not tight:
+        shape = "non-tight"
+    elif ends:
+        shape = "tight, exposed end"
+    else:
+        shape = "tight, both ends matched"
+    return shape, ends, exposed, size
+
+
 @pytest.mark.parametrize("size", range(6, 11))
-def test_incremental_prune_matches_fresh_matching(size):
+def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     """Random push/pop walks through the search kernel: every verdict must
-    match a matching computed from scratch, and a full unwind must restore
+    match a matching computed from scratch, every prune trigger must run
+    the blossom searches its shape calls for, and a full unwind must restore
     the initial state."""
+    searches = []  # (roots, found) of each blossom search
+    real_augment = search_module._Forest.augment
+
+    def recording_augment(forest, adj, mate, roots, log=None):
+        found = real_augment(forest, adj, mate, roots, log)
+        searches.append((list(roots), found))
+        return found
+
+    monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
+    hits = collections.Counter()
     rng = random.Random(size)
     for k in (1, 2, 3):
         for n in (4, 6, 8):
@@ -306,7 +406,12 @@ def test_incremental_prune_matches_fresh_matching(size):
                     continue
                 idx = rng.choice(free)
                 color = rng.randint(1, k)
+                shape, ends, exposed, matched = _expected_trigger(
+                    searcher.classes[color], *edges[idx]
+                )
+                searches.clear()
                 viable = searcher._assign(idx, color)
+                kernel_searches = list(searches)
                 stack.append(idx)
                 cls = Graph.from_edges(
                     size, [edges[i] for i in stack if searcher.color_of[i] == color]
@@ -314,6 +419,21 @@ def test_incremental_prune_matches_fresh_matching(size):
                 assert viable == (max_connected_matching(cls)[0] < n // 2)
                 if size <= 7:
                     assert viable == (brute_max_connected_matching(cls) < n // 2)
+                if kernel_searches:
+                    hits[shape] += 1
+                    roots, _ = kernel_searches[0]
+                    if shape == "non-tight":
+                        # Searches go on until one fails or the target is met.
+                        assert len(kernel_searches) <= n // 2 - matched + 1
+                        assert set(roots) == exposed
+                        assert all(found for _, found in kernel_searches[:-1])
+                        last_found = kernel_searches[-1][1]
+                        assert not last_found or matched + len(kernel_searches) == n // 2
+                    else:
+                        # Every augmenting path uses uv: one search decides,
+                        # from the exposed end if there is one.
+                        assert len(kernel_searches) == 1
+                        assert sorted(roots) == sorted(ends or exposed)
                 if not viable:
                     # As in the search, a pruned assignment is undone at once.
                     searcher._unassign(stack.pop())
@@ -322,6 +442,12 @@ def test_incremental_prune_matches_fresh_matching(size):
             assert _kernel_state(searcher) == initial
             for cls in searcher.classes[1:]:
                 assert cls.trail == [] and cls.flips == []
+            forest = searcher.classes[1].forest
+            assert forest.parent == [-1] * size
+            assert forest.base == list(range(size))
+            assert not any(forest.even + forest.seen + forest.in_blossom)
+    # The walks reach every trigger shape.
+    assert len(hits) == 3, hits
 
 
 def test_ramsey_values():
@@ -377,6 +503,26 @@ def test_ramsey_rejects_bad_budget_and_range(kwargs, message):
     args = {"color_count": 2, "n": 4, "n_max": 6, **kwargs}
     with pytest.raises(ValueError, match=message):
         ramsey_cm(**args)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"color_count": 0}, "color_count must be >= 1"),
+        ({"color_count": -1}, "color_count must be >= 1"),
+        ({"vertex_count": -3}, "vertex_count must be >= 0"),
+    ],
+)
+def test_search_config_rejects_no_colors_and_negative_order(kwargs, message):
+    args = {"vertex_count": 5, "color_count": 2, "n": 4, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**args)
+
+
+def test_ramsey_rejects_no_colors():
+    # With no colors nothing can be searched, so nothing is certified.
+    with pytest.raises(ValueError, match="color_count must be >= 1"):
+        ramsey_cm(0, 4, 6)
 
 
 def test_detector_on_random_colorings_of_k17():
