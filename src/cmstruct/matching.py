@@ -3,10 +3,11 @@
 One Edmonds forest search, ``_Forest.augment``, serves everything here and
 the search kernel above: a BFS that grows alternating trees from a given set
 of exposed roots, contracts blossoms through ``base`` pointers, and flips
-the path it finds. Its arrays are allocated once per ``_Forest`` and reset
-entry by entry after each search. A maximum matching runs it from one
-exposed vertex at a time, O(V^3) overall. Vertices are always scanned in
-ascending id order, so results are deterministic for a fixed input.
+the path it finds, or only reports it when the caller asks for no flip. Its
+arrays are allocated once per ``_Forest`` and reset entry by entry after
+each search. A maximum matching runs it from one exposed vertex at a time,
+O(V^3) overall. Vertices are always scanned in ascending id order, so
+results are deterministic for a fixed input.
 
 Deficiency witnesses follow Gallai-Edmonds (Lovász-Plummer, *Matching
 Theory*, ch. 3): one maximum matching plus one failed forest search rooted
@@ -137,15 +138,18 @@ class _Forest:
 
     def augment(self, adj: tuple[tuple[int, ...], ...] | list[list[int]],
                 mate: list[int], roots: list[int] | tuple[int, ...],
-                log: list[tuple[int, int]] | None = None) -> bool:
+                log: list[tuple[int, int]] | None = None,
+                flip: bool = True) -> bool:
         """Search for an augmenting path from the exposed ``roots``.
 
-        Exactly when an augmenting path joins two roots, or a root and an
-        exposed vertex outside ``roots``, one is found and flipped in
-        ``mate`` (one more matched edge), and True is returned. Each
-        overwritten entry is appended to ``log`` as ``(vertex, previous
-        mate)``, so a caller can undo the flip by restoring the log in
-        reverse. Only the roots' components of ``adj`` are explored. After a
+        True exactly when an augmenting path joins two roots, or a root and
+        an exposed vertex outside ``roots``. With ``flip`` the path found is
+        flipped in ``mate`` (one more matched edge), and each overwritten
+        entry is appended to ``log`` as ``(vertex, previous mate)``, so a
+        caller can undo the flip by restoring the log in reverse. Without
+        it the search only decides: ``mate`` and ``log`` are left as they
+        were, for a caller that needs to know that a path exists but not to
+        keep it. Only the roots' components of ``adj`` are explored. After a
         failed search, ``queue`` lists its outer vertices.
         """
         parent, base, even = self.parent, self.base, self.even
@@ -168,7 +172,8 @@ class _Forest:
                     if root_base == -1:
                         # Two trees meet: flip the half-path of ``to`` to
                         # its root, then treat ``to`` as reached from v.
-                        self._flip(mate, mate[to], log)
+                        if flip:
+                            self._flip(mate, mate[to], log)
                         parent[to] = v
                         found = True
                         break
@@ -195,7 +200,7 @@ class _Forest:
                     if not even[mate[to]]:
                         even[mate[to]] = True
                         queue.append(mate[to])
-        if found:
+        if found and flip:
             self._flip(mate, to, log)
         for w in queue:
             parent[w] = -1

@@ -37,10 +37,19 @@ size <= nu <= bound throughout:
   repeats until it fails (the bound drops to the size) or the size reaches
   n/2: at most n/2 - size + 1 searches.
 
-So the branch is viable iff the stored size stays below n/2. The kernel
-also keeps the components, as a union-find with member lists. Each added
-edge pushes one trail entry, from which its removal restores everything in
-strict LIFO order, so a popped assignment leaves exactly the state it found.
+So the branch is viable iff the stored size stays below n/2, and the edge
+is decided before anything is committed. The stored sizes and the
+exposed-pair test alone prune most edges, with no write at all. Only a
+prune trigger appends uv to the adjacency and runs its searches, and the
+search that would reach n/2 only finds its path without flipping it; a
+pruned trigger then pops the appends and the flips of the searches before
+it. A viable edge is committed: its component merge, and one trail entry
+from which ``remove`` restores everything in strict LIFO order. So a pruned
+node leaves no trace and needs no undo.
+
+The components are kept as per-vertex root labels with member lists, so a
+lookup is one read; a merge relabels the smaller list, and its removal
+relabels it back.
 """
 
 from __future__ import annotations
@@ -64,6 +73,10 @@ FOUND = "found"
 CERTIFIED_NONE = "certified_none"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
+# The search lays out every edge of K_N before its first node: about 3 MB
+# at this cap, which lies far beyond any exhaustive search.
+MAX_VERTICES = 256
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -78,6 +91,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
+        if self.vertex_count > MAX_VERTICES:
+            raise ValueError(f"vertex_count must be <= {MAX_VERTICES}")
         if self.color_count < 1:
             raise ValueError("color_count must be >= 1")
         if self.node_budget <= 0:
@@ -110,20 +125,26 @@ class RamseyResult:
 
 class _ColorMatching:
     """One color class of the search: its components, its adjacency and a
-    stored matching, each restored in strict LIFO order by ``remove``.
+    stored matching.
 
-    ``parent`` links the union-find, and ``members[r]``, ``matched[r]`` and
-    ``bound[r]`` belong to the component with root ``r``: its vertices, the
-    number of edges of the stored matching inside it, and an upper bound on
-    its matching number. ``forest`` holds the arrays of the blossom search,
-    which every color class of one search shares.
+    ``root[w]`` labels the component of vertex ``w``, and ``members[r]``,
+    ``matched[r]`` and ``bound[r]`` belong to the component labelled ``r``:
+    its vertices, the number of edges of the stored matching inside it, and
+    an upper bound on its matching number. A merge relabels the smaller
+    member list, and its removal relabels it back. ``forest`` holds the
+    arrays of the blossom search, which every color class of one search
+    shares.
+
+    ``add`` decides before it commits: a pruned edge leaves every field as
+    it found it, and a viable one pushes exactly one trail entry, which
+    ``remove`` pops in strict LIFO order.
     """
 
-    __slots__ = ("parent", "members", "adj", "mate", "matched", "bound",
+    __slots__ = ("root", "members", "adj", "mate", "matched", "bound",
                  "target", "trail", "flips", "forest")
 
     def __init__(self, n_vertices: int, target: int, forest: _Forest):
-        self.parent = list(range(n_vertices))
+        self.root = list(range(n_vertices))
         self.members = [[v] for v in range(n_vertices)]
         self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
         self.mate = [-1] * n_vertices
@@ -136,79 +157,96 @@ class _ColorMatching:
         self.forest = forest
 
     def add(self, u: int, v: int) -> bool:
-        """Add edge uv; True while its component's matching number stays
-        below ``target``."""
-        parent, members = self.parent, self.members
-        ra = u
-        while parent[ra] != ra:
-            ra = parent[ra]
-        rb = v
-        while parent[rb] != rb:
-            rb = parent[rb]
-        matched, bound = self.matched, self.bound
+        """Add edge uv and return True if its component's matching number
+        stays below ``target``; otherwise return False and add nothing."""
+        mate, matched, target = self.mate, self.matched, self.target
+        ra, rb = self.root[u], self.root[v]
+        size = matched[ra] if ra == rb else matched[ra] + matched[rb]
+        exposed_pair = mate[u] == mate[v] == -1
+        if size + exposed_pair >= target:
+            return False
+        members, bound = self.members, self.bound
         if ra == rb:
-            size, cap = matched[ra], bound[ra] + 1
             rb = -1
+            cap, order = bound[ra] + 1, len(members[ra])
         else:
-            size, cap = matched[ra] + matched[rb], bound[ra] + bound[rb] + 1
-            if len(members[ra]) < len(members[rb]):
+            cap = bound[ra] + bound[rb] + 1
+            na, nb = len(members[ra]), len(members[rb])
+            order = na + nb
+            if na < nb:
                 ra, rb = rb, ra
-            parent[rb] = ra
-            members[ra].extend(members[rb])
         # Tight: the stored matching was maximum in every merged part.
         tight = cap == size + 1
-        flips = self.flips
-        self.trail.append((ra, rb, matched[ra], bound[ra], len(flips)))
-        half = len(members[ra]) // 2
-        if cap > half:
-            cap = half
-        adj, mate = self.adj, self.mate
+        if cap > order // 2:
+            cap = order // 2
+        adj, flips = self.adj, self.flips
+        mark = len(flips)
         adj[u].append(v)
         adj[v].append(u)
-        if mate[u] == -1 and mate[v] == -1:
+        if exposed_pair:
             flips.append((u, -1))
             flips.append((v, -1))
             mate[u] = v
             mate[v] = u
             size += 1
-        target = self.target
-        if cap >= target and size < target:
+        if cap >= target:
             # After a tight edge every augmenting path uses uv, and an
-            # exposed end of uv is an end of each: one search decides, and
-            # its success meets the target.
+            # exposed end of uv is an end of each: one search decides.
             if tight and mate[u] == -1:
                 roots = [u]
             elif tight and mate[v] == -1:
                 roots = [v]
             else:
-                roots = [w for w in members[ra] if mate[w] == -1]
+                roots = self._exposed(ra, rb)
             augment = self.forest.augment
-            while augment(adj, mate, roots, flips):
+            # Each success adds one matched edge; the search that would
+            # meet the target only has to find its path, not flip it.
+            while augment(adj, mate, roots, flips, size + 1 < target):
+                if size + 1 >= target:
+                    adj[u].pop()
+                    adj[v].pop()
+                    self._rewind(mark)
+                    return False
                 size += 1
-                if size >= target:
-                    break
-                roots = [w for w in members[ra] if mate[w] == -1]
-            else:
-                cap = size
+                roots = self._exposed(ra, rb)
+            cap = size
+        if rb >= 0:
+            root = self.root
+            for w in members[rb]:
+                root[w] = ra
+            members[ra].extend(members[rb])
+        self.trail.append((ra, rb, matched[ra], bound[ra], mark))
         matched[ra] = size
         bound[ra] = cap
-        return size < target
+        return True
 
-    def remove(self, u: int, v: int) -> None:
-        """Undo the latest ``add``, which must have been of edge uv."""
-        root, absorbed, size, cap, mark = self.trail.pop()
+    def _exposed(self, ra: int, rb: int) -> list[int]:
+        """The exposed vertices of component ``ra``, and of ``rb`` if not -1."""
+        mate, members = self.mate, self.members
+        group = members[ra] if rb < 0 else chain(members[ra], members[rb])
+        return [w for w in group if mate[w] == -1]
+
+    def _rewind(self, mark: int) -> None:
+        """Restore the mates overwritten since ``flips`` had ``mark`` entries."""
         flips, mate = self.flips, self.mate
         while len(flips) > mark:
             w, m = flips.pop()
             mate[w] = m
-        self.matched[root] = size
-        self.bound[root] = cap
+
+    def remove(self, u: int, v: int) -> None:
+        """Undo the latest committed ``add``, which must have been of edge uv."""
+        ra, rb, size, cap, mark = self.trail.pop()
+        self._rewind(mark)
+        self.matched[ra] = size
+        self.bound[ra] = cap
         self.adj[u].pop()
         self.adj[v].pop()
-        if absorbed >= 0:
-            members = self.members
-            self.parent[absorbed] = absorbed
-            del members[root][-len(members[absorbed]):]
+        if rb >= 0:
+            root, members = self.root, self.members
+            absorbed = members[rb]
+            for w in absorbed:
+                root[w] = rb
+            del members[ra][-len(absorbed):]
 
 
 class _Searcher:
@@ -231,9 +269,12 @@ class _Searcher:
         self.prefix = prefix
 
     def _assign(self, idx: int, color: int) -> bool:
-        """Apply one assignment; True if the branch stays viable."""
+        """Apply one assignment and return True if the branch stays viable;
+        a pruned one is not applied."""
+        if not self.classes[color].add(*self.edge_list[idx]):
+            return False
         self.color_of[idx] = color
-        return self.classes[color].add(*self.edge_list[idx])
+        return True
 
     def _unassign(self, idx: int) -> None:
         self.classes[self.color_of[idx]].remove(*self.edge_list[idx])
@@ -289,17 +330,17 @@ class _Searcher:
                     self.exhausted = True
                     return
                 nodes += 1
+                if not adds[color](tails[idx], heads[idx]):
+                    continue  # pruned: nothing was applied
                 color_of[idx] = color
-                if adds[color](tails[idx], heads[idx]):
-                    if idx + 1 == end:
-                        self.nodes = nodes
-                        yield tuple(color_of[:end])
-                    else:
-                        stack.append((choices, max_used))
-                        max_used = max(max_used, color)
-                        idx += 1
-                        choices = iter(self._choices(idx, max_used))
-                        continue
+                if idx + 1 < end:
+                    stack.append((choices, max_used))
+                    max_used = max(max_used, color)
+                    idx += 1
+                    choices = iter(self._choices(idx, max_used))
+                    continue
+                self.nodes = nodes
+                yield tuple(color_of[:end])
                 removes[color](tails[idx], heads[idx])
                 color_of[idx] = 0
         finally:
@@ -463,7 +504,8 @@ def ramsey_cm(
     Scans N upward; avoidance is monotone under vertex deletion, so the
     first certified-none N is the answer. With the budget exhausted first,
     the result degrades to the best verified lower bound. The reported node
-    count never exceeds ``node_budget``.
+    count never exceeds ``node_budget``. A size above ``MAX_VERTICES`` that
+    the scan would need raises ``ValueError``.
     """
     if n < 2 or n % 2 != 0:
         raise OddNError(f"n must be an even integer >= 2, got {n}")
@@ -471,10 +513,11 @@ def ramsey_cm(
         raise ValueError("node_budget must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    avoider: EdgeColoring | None = None
+    # Every coloring of K_N with N < n avoids, so the scan starts at n (or
+    # past n_max) from the one-color avoider below it.
+    size = min(n, n_max + 1)
+    avoider = search_avoider(SearchConfig(size - 1, color_count, n)).coloring
     total = 0
-    size = 1
-    # Sizes below n cost no nodes, so the budget runs out only at a size >= n.
     while size <= n_max and total < node_budget:
         cfg = SearchConfig(size, color_count, n, node_budget=node_budget - total)
         result = search_avoider(cfg)
@@ -483,13 +526,12 @@ def ramsey_cm(
             return RamseyResult(color_count, n, "exact", size, size, avoider, total)
         if result.status != FOUND:
             break
-        if size >= 2:
-            sub, shrunk = _induced_coloring(
-                complete_graph(size), result.coloring, range(size - 1)
-            )
-            assert find_mono_cm(sub, shrunk, n) is None, (
-                "restriction of an avoider must avoid"
-            )
+        sub, shrunk = _induced_coloring(
+            complete_graph(size), result.coloring, range(size - 1)
+        )
+        assert find_mono_cm(sub, shrunk, n) is None, (
+            "restriction of an avoider must avoid"
+        )
         avoider = result.coloring
         size += 1
     return RamseyResult(color_count, n, "lower_bound", None, size, avoider, total)

@@ -215,6 +215,12 @@ def test_search_exit_codes(capsys, in_process_pool):
         assert (code, out) == (1, "")
         assert message in err
 
+    # An order above the cap is refused before any edge list is built.
+    argv = ["search", "--n-vertices", "100000", "--k", "2", "--n", "4", "--budget", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "vertex_count must be <=" in err
+
 
 @pytest.mark.parametrize("size, expected", [(4, 0), (5, 2)])
 def test_parallel_search_report_matches_sequential(capsys, size, expected):
@@ -242,6 +248,7 @@ def test_ramsey_command(capsys):
         (["--budget", "0"], "node_budget must be positive"),
         (["--budget", "-5"], "node_budget must be positive"),
         (["--max", "-3"], "n_max must be >= 1"),
+        (["--n", "1000", "--max", "1000"], "vertex_count must be <="),
     ],
 )
 def test_ramsey_bad_input_is_usage_error(capsys, extra, message):

@@ -195,8 +195,12 @@ def _check_forest_search(forest, g, matching):
     before = list(mate)
     log: list = []
     roots = [v for v in range(n) if mate[v] == -1]
+    # Without a flip the search only decides: it changes and logs nothing.
+    decided = forest.augment(g.adjacency, mate, roots, log, flip=False)
+    assert (mate, log) == (before, [])
+    assert _is_reset(forest, n)
     found = forest.augment(g.adjacency, mate, roots, log)
-    assert found == has_augmenting_path(g, matching)
+    assert found == decided == has_augmenting_path(g, matching)
     assert _is_reset(forest, n)
     if found:
         assert all(mate[mate[v]] == v for v in range(n) if mate[v] != -1)

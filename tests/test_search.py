@@ -341,24 +341,20 @@ def _kernel_state(searcher):
             list(cls.matched),
             list(cls.bound),
             [list(a) for a in cls.adj],
-            list(cls.parent),
+            list(cls.root),
             [list(m) for m in cls.members],
+            list(cls.trail),
+            list(cls.flips),
         )
         for cls in searcher.classes[1:]
     ]
-
-
-def _root(cls, x):
-    while cls.parent[x] != x:
-        x = cls.parent[x]
-    return x
 
 
 def _expected_trigger(cls, u, v):
     """What adding uv to ``cls`` sets up for a prune trigger: its shape,
     the exposed ends of uv, the exposed vertices of the merged component
     and its stored matching size, all after the exposed-pair shortcut."""
-    ra, rb = _root(cls, u), _root(cls, v)
+    ra, rb = cls.root[u], cls.root[v]
     parts = {ra, rb}
     tight = all(cls.bound[r] == cls.matched[r] for r in parts)
     exposed = {w for r in parts for w in cls.members[r] if cls.mate[w] == -1}
@@ -380,14 +376,15 @@ def _expected_trigger(cls, u, v):
 def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     """Random push/pop walks through the search kernel: every verdict must
     match a matching computed from scratch, every prune trigger must run
-    the blossom searches its shape calls for, and a full unwind must restore
-    the initial state."""
-    searches = []  # (roots, found) of each blossom search
+    the blossom searches its shape calls for, a pruned assignment must leave
+    no trace, and a full unwind must restore the initial state."""
+    searches = []  # (roots, found, flip, entries logged) of each search
     real_augment = search_module._Forest.augment
 
-    def recording_augment(forest, adj, mate, roots, log=None):
-        found = real_augment(forest, adj, mate, roots, log)
-        searches.append((list(roots), found))
+    def recording_augment(forest, adj, mate, roots, log=None, flip=True):
+        logged = len(log or ())
+        found = real_augment(forest, adj, mate, roots, log, flip)
+        searches.append((list(roots), found, flip, len(log or ()) - logged))
         return found
 
     monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
@@ -410,23 +407,25 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                     searcher.classes[color], *edges[idx]
                 )
                 searches.clear()
+                before = _kernel_state(searcher), list(searcher.color_of)
                 viable = searcher._assign(idx, color)
                 kernel_searches = list(searches)
-                stack.append(idx)
                 cls = Graph.from_edges(
-                    size, [edges[i] for i in stack if searcher.color_of[i] == color]
+                    size,
+                    [edges[i] for i in stack if searcher.color_of[i] == color]
+                    + [edges[idx]],
                 )
                 assert viable == (max_connected_matching(cls)[0] < n // 2)
                 if size <= 7:
                     assert viable == (brute_max_connected_matching(cls) < n // 2)
                 if kernel_searches:
                     hits[shape] += 1
-                    roots, _ = kernel_searches[0]
+                    roots = kernel_searches[0][0]
                     if shape == "non-tight":
                         # Searches go on until one fails or the target is met.
                         assert len(kernel_searches) <= n // 2 - matched + 1
                         assert set(roots) == exposed
-                        assert all(found for _, found in kernel_searches[:-1])
+                        assert all(found for _, found, _, _ in kernel_searches[:-1])
                         last_found = kernel_searches[-1][1]
                         assert not last_found or matched + len(kernel_searches) == n // 2
                     else:
@@ -434,20 +433,58 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                         # from the exposed end if there is one.
                         assert len(kernel_searches) == 1
                         assert sorted(roots) == sorted(ends or exposed)
-                if not viable:
-                    # As in the search, a pruned assignment is undone at once.
-                    searcher._unassign(stack.pop())
+                    # Every search but the last flips and logs its path.
+                    assert all(flip and logged > 0
+                               for _, _, flip, logged in kernel_searches[:-1])
+                    if not viable:
+                        # The deciding search finds its path but neither
+                        # flips nor logs it.
+                        _, found, flip, logged = kernel_searches[-1]
+                        assert found and not flip and logged == 0
+                if viable:
+                    stack.append(idx)
+                else:
+                    # A pruned assignment is not applied, so nothing is undone.
+                    assert (_kernel_state(searcher), searcher.color_of) == before
             while stack:
                 searcher._unassign(stack.pop())
             assert _kernel_state(searcher) == initial
-            for cls in searcher.classes[1:]:
-                assert cls.trail == [] and cls.flips == []
             forest = searcher.classes[1].forest
             assert forest.parent == [-1] * size
             assert forest.base == list(range(size))
             assert not any(forest.even + forest.seen + forest.in_blossom)
     # The walks reach every trigger shape.
     assert len(hits) == 3, hits
+
+
+def test_remove_runs_once_per_committed_add(monkeypatch):
+    # Only committed edges are undone, each once and in LIFO order; a
+    # pruned node leaves nothing to remove.
+    real_add = search_module._ColorMatching.add
+    real_remove = search_module._ColorMatching.remove
+    committed = []  # (class, edge) of the edges applied now
+    counts = collections.Counter()
+
+    def counting_add(cls, u, v):
+        counts["add"] += 1
+        viable = real_add(cls, u, v)
+        if viable:
+            counts["committed"] += 1
+            committed.append((cls, (u, v)))
+        return viable
+
+    def counting_remove(cls, u, v):
+        counts["remove"] += 1
+        assert committed.pop() == (cls, (u, v))
+        real_remove(cls, u, v)
+
+    monkeypatch.setattr(search_module._ColorMatching, "add", counting_add)
+    monkeypatch.setattr(search_module._ColorMatching, "remove", counting_remove)
+    result = search_avoider(SearchConfig(8, 3, 4))
+    assert result == SearchResult(CERTIFIED_NONE, None, 6_821)
+    assert counts["add"] == result.nodes
+    assert committed == []
+    assert counts["remove"] == counts["committed"] < counts["add"]
 
 
 def test_ramsey_values():
@@ -517,6 +554,36 @@ def test_search_config_rejects_no_colors_and_negative_order(kwargs, message):
     args = {"vertex_count": 5, "color_count": 2, "n": 4, **kwargs}
     with pytest.raises(ValueError, match=message):
         SearchConfig(**args)
+
+
+def test_search_config_caps_vertex_count():
+    cap = search_module.MAX_VERTICES
+    result = search_avoider(SearchConfig(cap, 2, 4, node_budget=1))
+    assert result == SearchResult(BUDGET_EXHAUSTED, None, 1)
+    with pytest.raises(ValueError, match=f"vertex_count must be <= {cap}"):
+        SearchConfig(cap + 1, 2, 4)
+
+
+def test_ramsey_scan_starts_at_n(monkeypatch):
+    # Every coloring of K_119 avoids a connected matching on 120 vertices:
+    # one detector check of the one-color avoider, no scan below n.
+    detector_calls = []
+    real_find = search_module.find_mono_cm
+
+    def counting_find(g, coloring, n):
+        detector_calls.append(g.vertex_count)
+        return real_find(g, coloring, n)
+
+    monkeypatch.setattr(search_module, "find_mono_cm", counting_find)
+    result = ramsey_cm(2, 120, 119)
+    assert (result.status, result.lower_bound, result.nodes) == ("lower_bound", 120, 0)
+    assert result.avoider == EdgeColoring(2, {e: 1 for e in complete_graph(119).edges})
+    assert detector_calls == [119]
+    # A scan that would need a size above the cap is refused.
+    cap = search_module.MAX_VERTICES
+    with pytest.raises(ValueError, match=f"vertex_count must be <= {cap}"):
+        ramsey_cm(2, 2 * cap, 2 * cap)
+    assert ramsey_cm(1, 4, 10 * cap).value == 4
 
 
 def test_ramsey_rejects_no_colors():
