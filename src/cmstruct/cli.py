@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import constructions, errors, graphs, loss, partition, search
-from .matching import maximum_matching, tutte_berge
+from .matching import maximum_matching, require_even_n, tutte_berge
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +46,10 @@ def _fmt_set(s) -> str:
     return "{" + ", ".join(str(v) for v in sorted(s)) + "}"
 
 
-def _load(path: str) -> tuple[graphs.Graph, graphs.EdgeColoring]:
+def _load(args) -> tuple[graphs.Graph, graphs.EdgeColoring]:
+    """Check ``--n`` and read ``--input``, before a command prints anything."""
+    require_even_n(args.n)
+    path = args.input
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -72,7 +75,7 @@ def _emit_graph(
 
 
 def _cmd_decompose(args) -> int:
-    g, coloring = _load(args.input)
+    g, coloring = _load(args)
     print(f"# cmstruct decompose n={args.n} input={args.input}")
     labeling = graphs.components(g)
     worst = EXIT_OK
@@ -126,7 +129,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_loss_check(args) -> int:
-    g, coloring = _load(args.input)
+    g, coloring = _load(args)
     print(f"# cmstruct loss-check n={args.n} input={args.input}")
     if coloring.color_count == 1:
         holds, ledger = loss.check_f_inequality(g, args.n)
@@ -154,7 +157,7 @@ def _cmd_loss_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g, coloring = _load(args.input)
+    g, coloring = _load(args)
     print(
         f"# cmstruct classify n={args.n} k={coloring.color_count} input={args.input}"
     )
@@ -171,7 +174,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bounds_check(args) -> int:
-    g, coloring = _load(args.input)
+    g, coloring = _load(args)
     print(f"# cmstruct bounds-check n={args.n} input={args.input}")
     ok = True
     holds, slack = bounds_mod.erdos_gallai_check(g, args.n)
@@ -196,7 +199,7 @@ def _cmd_bounds_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    g, coloring = _load(args.input)
+    g, coloring = _load(args)
     print(
         f"# cmstruct audit n={args.n} k={args.k} "
         f"epsilon={_fmt_ratio(args.epsilon)} delta={_fmt_ratio(args.delta)} "

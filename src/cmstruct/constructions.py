@@ -15,6 +15,15 @@ import random
 from .errors import NotPrimeError
 from .graphs import EdgeColoring, Graph, complete_graph
 
+# Every generator lays out all edges of K_N: random_coloring plus
+# complete_graph already peak at about 200 MB for N = 1,000.
+MAX_VERTICES = 1024
+
+
+def _check_order(n_vertices: int) -> None:
+    if n_vertices > MAX_VERTICES:
+        raise ValueError(f"n_vertices must be <= {MAX_VERTICES}, got {n_vertices}")
+
 
 def _is_prime(q: int) -> bool:
     if q < 2:
@@ -34,6 +43,8 @@ def affine_plane_coloring(q: int) -> tuple[Graph, EdgeColoring]:
     Colors 1..q are the finite slopes 0..q-1; color q + 1 is vertical.
     Prime powers would need genuine field arithmetic and are rejected.
     """
+    if q * q > MAX_VERTICES:
+        raise ValueError(f"q^2 must be <= {MAX_VERTICES}, got q = {q}")
     if not _is_prime(q):
         raise NotPrimeError(f"q must be prime, got {q}")
     g = complete_graph(q * q)
@@ -59,16 +70,21 @@ def disjoint_cliques_coloring(
     ``max_clique`` vertices. Per color, vertices are taken one at a time and
     placed in the first open block all of whose members they have not yet
     been paired with. Returns None when some pair remains uncovered after k
-    rounds; with a seed, the vertex order of each round is shuffled.
+    rounds; with a seed, the vertex order of each round is shuffled. Once
+    every pair is covered the remaining rounds could only place singleton
+    blocks, so they are skipped.
     """
     if n_vertices < 1 or k < 1 or max_clique < 1:
         raise ValueError("n_vertices, k, max_clique must all be >= 1")
+    _check_order(n_vertices)
     rng = random.Random(seed) if seed is not None else None
     uncovered = {
         (u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
     }
     assignment: dict[tuple[int, int], int] = {}
     for color in range(1, k + 1):
+        if not uncovered:
+            break
         order = list(range(n_vertices))
         if rng is not None:
             rng.shuffle(order)
@@ -101,6 +117,7 @@ def random_coloring(n_vertices: int, k: int, seed: int = 0) -> EdgeColoring:
     """Uniform independent colors on K_N's edges, lexicographic edge order."""
     if n_vertices < 1 or k < 1:
         raise ValueError("n_vertices and k must be >= 1")
+    _check_order(n_vertices)
     rng = random.Random(seed)
     assignment = {
         (u, v): rng.randrange(1, k + 1)
@@ -122,6 +139,7 @@ def bounded_component_coloring(
     """
     if n_vertices < 1 or k < 1 or max_component < 1:
         raise ValueError("n_vertices, k, max_component must all be >= 1")
+    _check_order(n_vertices)
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
     rng.shuffle(edges)

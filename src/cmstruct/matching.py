@@ -359,8 +359,7 @@ def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
     the witness is deterministic. Returns None iff no color class has a
     component whose matching number reaches ``n/2``.
     """
-    if n < 2 or n % 2 != 0:
-        raise OddNError(f"n must be an even integer >= 2, got {n}")
+    require_even_n(n)
     target = n // 2
     for color in range(1, coloring.color_count + 1):
         cls = color_class(g, coloring, color)
@@ -380,9 +379,16 @@ def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
     return None
 
 
+def require_even_n(n: int) -> None:
+    """Guard for the matching-size parameter: ``n`` must be even and >= 2."""
+    if n < 2 or n % 2 != 0:
+        raise OddNError(f"n must be an even integer >= 2, got {n}")
+
+
 def require_no_connected_matching(g: Graph, n: int) -> None:
     """Guard for operations defined only on graphs without a connected
     matching of size ``n/2``."""
+    require_even_n(n)
     size, _ = max_connected_matching(g)
     if size >= n // 2:
         raise HasConnectedMatchingError(

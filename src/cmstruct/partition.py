@@ -21,9 +21,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
-from .errors import HasLargeMatchingError, NotConnectedError, OddNError
+from .errors import HasLargeMatchingError, NotConnectedError
 from .graphs import Graph, components
-from .matching import DeficiencyWitness, tutte_berge
+from .matching import DeficiencyWitness, require_even_n, tutte_berge
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def _sqi_partition(
 ) -> SQIPartition:
     """``sqi_partition`` taking the deficiency witness from ``witness_of(g)``,
     so a caller that already built the witness need not build it again."""
-    if n < 2 or n % 2 != 0:
-        raise OddNError(f"n must be an even integer >= 2, got {n}")
+    require_even_n(n)
     if g.vertex_count == 0 or components(g).count != 1:
         raise NotConnectedError("partition requires a connected, nonempty graph")
     v = g.vertex_count

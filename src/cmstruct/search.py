@@ -4,11 +4,13 @@ The search walks the edges of a complete graph depth-first, pruning a
 branch as soon as any color class gains a connected matching of the
 forbidden size.
 
-Symmetry reduction is deliberately lightweight and provably sound: colors
-are canonicalized by first use (color i+1 may first appear only after color
-i), and the colors along the star at vertex 0 may be required to be
-non-decreasing, since any coloring can be brought to that shape by permuting
-the other vertices and then renaming colors by first use. The result (its
+Symmetry reduction is deliberately lightweight and provably sound, and
+always on: colors are canonicalized by first use (color i+1 may first
+appear only after color i), and the colors along the star at vertex 0 are
+required to be non-decreasing, since any coloring can be brought to that
+shape by permuting the other vertices and then renaming colors by first
+use. So the walk offers at most one color beyond those it has used, and a
+color class is built only when its color is first offered. The result (its
 status, node count and avoider) is deterministic and never depends on the
 worker count.
 
@@ -64,10 +66,14 @@ from multiprocessing.connection import wait
 from threading import Thread
 
 from .bounds import _induced_coloring
-from .errors import OddNError
 from .graphs import EdgeColoring, complete_graph
 # max_connected_matching is unused here but kept as a public and traced name.
-from .matching import _Forest, find_mono_cm, max_connected_matching  # noqa: F401
+from .matching import (  # noqa: F401
+    _Forest,
+    find_mono_cm,
+    max_connected_matching,
+    require_even_n,
+)
 
 FOUND = "found"
 CERTIFIED_NONE = "certified_none"
@@ -80,13 +86,23 @@ MAX_VERTICES = 256
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One avoider search: colorings of K_``vertex_count`` with colors
+    1..``color_count``, none with a monochromatic connected matching of
+    size ``n/2``; at most ``node_budget`` nodes, spread over ``threads``
+    worker processes when above 1 (the result is that of one thread).
+
+    The two symmetry rules of the module docstring always apply: colors
+    appear in order of first use, and the star at vertex 0 is
+    non-decreasing. A color class is built only when the walk first offers
+    its color, so memory grows with the colors used, never with
+    ``color_count``, and ``vertex_count`` is capped at ``MAX_VERTICES``.
+    """
+
     vertex_count: int
     color_count: int
     n: int
     node_budget: int = 10**9
     threads: int = 1
-    color_first_use: bool = True
-    vertex_canonicalization: bool = True
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -99,8 +115,7 @@ class SearchConfig:
             raise ValueError("node_budget must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.n < 2 or self.n % 2 != 0:
-            raise OddNError(f"n must be an even integer >= 2, got {self.n}")
+        require_even_n(self.n)
 
 
 @dataclass(frozen=True)
@@ -259,39 +274,28 @@ class _Searcher:
             (u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
         ]
         self.color_of = [0] * len(self.edge_list)
-        forest = _Forest(n_vertices)
-        self.classes = [None] + [
-            _ColorMatching(n_vertices, cfg.n // 2, forest)
-            for _ in range(cfg.color_count)
-        ]
+        self.forest = _Forest(n_vertices)
+        # The ``add`` and ``remove`` of each color's class, by color; a
+        # class is built when its color is first offered.
+        self.adds: list = [None]
+        self.removes: list = [None]
         self.nodes = 0
         self.exhausted = False
         self.prefix = prefix
 
-    def _assign(self, idx: int, color: int) -> bool:
-        """Apply one assignment and return True if the branch stays viable;
-        a pruned one is not applied."""
-        if not self.classes[color].add(*self.edge_list[idx]):
-            return False
-        self.color_of[idx] = color
-        return True
-
-    def _unassign(self, idx: int) -> None:
-        self.classes[self.color_of[idx]].remove(*self.edge_list[idx])
-        self.color_of[idx] = 0
+    def _offer(self, colors: range) -> range:
+        """Build the color classes up to the largest of ``colors``."""
+        while len(self.adds) < colors.stop:
+            cls = _ColorMatching(self.cfg.vertex_count, self.cfg.n // 2, self.forest)
+            self.adds.append(cls.add)
+            self.removes.append(cls.remove)
+        return colors
 
     def _choices(self, idx: int, max_used: int) -> range:
-        cfg = self.cfg
-        lo = 1
-        if (
-            cfg.vertex_canonicalization
-            and 1 <= idx <= cfg.vertex_count - 2
-        ):
-            # Star edges at vertex 0 may be forced non-decreasing: any
-            # coloring maps to that shape by permuting vertices 1..N-1.
-            lo = self.color_of[idx - 1]
-        hi = min(cfg.color_count, max_used + 1) if cfg.color_first_use else cfg.color_count
-        return range(lo, hi + 1)
+        """Colors for edge ``idx``: by first use, and non-decreasing along
+        the star at vertex 0, whose edges are 0..N-2."""
+        lo = self.color_of[idx - 1] if 1 <= idx <= self.cfg.vertex_count - 2 else 1
+        return range(lo, min(self.cfg.color_count, max_used + 1) + 1)
 
     def _dfs(self, idx: int, max_used: int, end: int) -> Iterator[tuple[int, ...]]:
         """Yield each viable assignment of the edges below ``end``, given
@@ -303,18 +307,16 @@ class _Searcher:
         and exit; when the budget runs out the walk sets ``self.exhausted``
         and ends.
         """
-        color_of = self.color_of
+        color_of, adds, removes = self.color_of, self.adds, self.removes
         tails = [u for u, _ in self.edge_list]
         heads = [v for _, v in self.edge_list]
-        adds = [None] + [cls.add for cls in self.classes[1:]]
-        removes = [None] + [cls.remove for cls in self.classes[1:]]
         if idx == end:
             yield tuple(color_of[:end])
             return
         budget = self.cfg.node_budget
         nodes = self.nodes
         stack: list[tuple[Iterator[int], int]] = []
-        choices = iter(self._choices(idx, max_used))
+        choices = iter(self._offer(self._choices(idx, max_used)))
         try:
             while True:
                 color = next(choices, 0)
@@ -337,7 +339,7 @@ class _Searcher:
                     stack.append((choices, max_used))
                     max_used = max(max_used, color)
                     idx += 1
-                    choices = iter(self._choices(idx, max_used))
+                    choices = iter(self._offer(self._choices(idx, max_used)))
                     continue
                 self.nodes = nodes
                 yield tuple(color_of[:end])
@@ -349,9 +351,11 @@ class _Searcher:
     def run(self) -> SearchResult:
         # Replay the prefix; a pruned prefix certifies its subtree empty.
         max_used = 0
-        for depth, color in enumerate(self.prefix):
-            if not self._assign(depth, color):
+        for idx, color in enumerate(self.prefix):
+            self._offer(self._choices(idx, max_used))
+            if not self.adds[color](*self.edge_list[idx]):
                 return SearchResult(CERTIFIED_NONE, None, 0)
+            self.color_of[idx] = color
             max_used = max(max_used, color)
         hit = next(self._dfs(len(self.prefix), max_used, len(self.edge_list)), None)
         if self.exhausted:
@@ -507,8 +511,7 @@ def ramsey_cm(
     count never exceeds ``node_budget``. A size above ``MAX_VERTICES`` that
     the scan would need raises ``ValueError``.
     """
-    if n < 2 or n % 2 != 0:
-        raise OddNError(f"n must be an even integer >= 2, got {n}")
+    require_even_n(n)
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     if n_max < 1:

@@ -21,7 +21,11 @@ from cmstruct.constructions import (
     bounded_component_coloring,
     random_coloring,
 )
-from cmstruct.errors import HasConnectedMatchingError, HasMonochromaticMatchingError
+from cmstruct.errors import (
+    HasConnectedMatchingError,
+    HasMonochromaticMatchingError,
+    OddNError,
+)
 from cmstruct.graphs import Graph
 
 from .generators import avoiding_graph
@@ -44,6 +48,14 @@ def test_erdos_gallai_examples():
 def test_erdos_gallai_rejects_connected_matching():
     with pytest.raises(HasConnectedMatchingError):
         erdos_gallai_check(path_graph(4), 4)
+
+
+@pytest.mark.parametrize("n", [3, 0, -2])
+def test_erdos_gallai_rejects_odd_or_nonpositive_n(n):
+    # An odd or non-positive n is refused before the graph is looked at.
+    for g in (Graph(3, frozenset()), path_graph(4)):
+        with pytest.raises(OddNError):
+            erdos_gallai_check(g, n)
 
 
 def test_erdos_gallai_random_suite():

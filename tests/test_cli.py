@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from cmstruct import (
@@ -164,6 +168,22 @@ def test_construct_random_header_carries_seed(capsys):
     assert out2 == out  # byte-identical for identical argv and seed
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["affine", "--q", "37"],
+        ["cliques", "--n-vertices", "1025", "--k", "2", "--max-clique", "2"],
+        ["random", "--n-vertices", "1025", "--k", "2"],
+        ["bounded", "--n-vertices", "1025", "--k", "2", "--max-component", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_construct_refuses_sizes_above_the_cap(capsys, argv):
+    code, out, err = run(capsys, ["construct", *argv])
+    assert (code, out) == (1, "")
+    assert "must be <= 1024" in err
+
+
 def _body(out):
     """Stdout after the header line, which echoes the arguments."""
     return out.split("\n", 1)[1]
@@ -259,6 +279,27 @@ def test_ramsey_bad_input_is_usage_error(capsys, extra, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("n", ["3", "0", "-2"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decompose"],
+        ["loss-check"],
+        ["classify"],
+        ["bounds-check"],
+        ["audit", "--k", "4", "--epsilon", "1/2", "--delta", "1/500"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_analysis_commands_refuse_bad_n_before_output(tmp_path, capsys, command, n):
+    # A 4-vertex path: with n = 3, decompose would print its components and
+    # bounds-check would report a connected matching of size 2 >= 1.
+    path = write_graph(tmp_path / "p4.g", path_graph(4))
+    code, out, err = run(capsys, command + ["--n", n, "--input", path])
+    assert (code, out) == (1, "")
+    assert f"n must be an even integer >= 2, got {n}" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--bogus"])
@@ -294,3 +335,45 @@ def test_output_is_stable(tmp_path, capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+_ONE_GIB = 1 << 30
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_ONE_GIB, _ONE_GIB))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["search", "--n-vertices", "46", "--k", "1000000", "--n", "4",
+          "--budget", "1"], 3),
+        (["search", "--n-vertices", "100000", "--k", "2", "--n", "4",
+          "--budget", "1"], 1),
+        (["construct", "random", "--n-vertices", "100000", "--k", "2"], 1),
+        (["construct", "affine", "--q", "1009"], 1),
+    ],
+    ids=["search-colors", "search-order", "construct-random", "construct-affine"],
+)
+def test_oversized_input_fails_fast_within_one_gib(argv, code):
+    # Each case runs in a child whose address space is capped, so a
+    # regression fails here instead of exhausting the machine's memory.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "cmstruct.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert child.returncode == code, child.stderr
+    if code == 1:
+        assert child.stdout == ""
+        assert "must be <=" in child.stderr
+    else:
+        assert "budget exhausted" in child.stdout

@@ -4,6 +4,7 @@ import pytest
 
 from cmstruct import color_class, components, find_mono_cm
 from cmstruct.constructions import (
+    MAX_VERTICES,
     affine_plane_coloring,
     bounded_component_coloring,
     disjoint_cliques_coloring,
@@ -65,6 +66,15 @@ def test_disjoint_cliques_examples():
     assert disjoint_cliques_coloring(5, 1, 2) is None
 
 
+def test_disjoint_cliques_stops_once_every_pair_is_covered():
+    # K_6 is covered after 7 matchings; further rounds change nothing.
+    few = disjoint_cliques_coloring(6, 10, 2)
+    many = disjoint_cliques_coloring(6, 10**9, 2)
+    assert few is not None and many is not None
+    assert many.assignment == few.assignment
+    assert max(few.assignment.values()) == 7
+
+
 def test_disjoint_cliques_respects_block_size():
     rng = random.Random(4)
     for _ in range(30):
@@ -115,3 +125,29 @@ def test_bounded_component_coloring_caps_components():
             assert all(t <= 4 for t in touched), (seed, sizes)
         again, coloring2 = bounded_component_coloring(14, 4, 4, seed=seed)
         assert (again, coloring2) == (g, coloring)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda n: random_coloring(n, 2),
+        lambda n: disjoint_cliques_coloring(n, 2, 2),
+        lambda n: bounded_component_coloring(n, 2, 2),
+    ],
+    ids=["random", "cliques", "bounded"],
+)
+def test_generators_refuse_orders_above_the_cap(generate):
+    with pytest.raises(ValueError, match=f"n_vertices must be <= {MAX_VERTICES}"):
+        generate(MAX_VERTICES + 1)
+    with pytest.raises(ValueError, match=f"n_vertices must be <= {MAX_VERTICES}"):
+        generate(10**12)
+
+
+def test_affine_refuses_planes_above_the_cap():
+    # 32^2 = 1,024 fits under the cap, so only its primality fails; 37^2 =
+    # 1,369 does not fit, nor does a q whose primality would take long to test.
+    with pytest.raises(NotPrimeError):
+        affine_plane_coloring(32)
+    for q in (37, 1009, 10**18 + 9):
+        with pytest.raises(ValueError, match=f"q\\^2 must be <= {MAX_VERTICES}"):
+            affine_plane_coloring(q)

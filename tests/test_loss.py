@@ -28,6 +28,7 @@ from cmstruct.errors import (
     HasConnectedMatchingError,
     HasMonochromaticMatchingError,
     InvalidPartitionError,
+    OddNError,
 )
 
 from .generators import avoiding_coloring, avoiding_graph
@@ -50,6 +51,12 @@ def test_f_graph_examples():
 def test_f_graph_rejects_large_connected_matching():
     with pytest.raises(HasConnectedMatchingError):
         f_graph(complete_graph(4), 4)
+
+
+@pytest.mark.parametrize("n", [5, 3, 0, -2])
+def test_f_graph_rejects_odd_or_nonpositive_n(n):
+    with pytest.raises(OddNError):
+        f_graph(Graph(3, frozenset()), n)
 
 
 def test_f_vertex_examples():

@@ -160,21 +160,39 @@ def _brute_avoider_exists(size: int, k: int, n: int) -> bool:
     return False
 
 
-def test_pruning_safety_matches_unpruned_and_brute():
-    for size in range(2, 6):
-        for k in (1, 2):
-            expected = _brute_avoider_exists(size, k, 4)
-            for first_use in (True, False):
-                for canon in (True, False):
-                    cfg = SearchConfig(
-                        size,
-                        k,
-                        4,
-                        color_first_use=first_use,
-                        vertex_canonicalization=canon,
-                    )
-                    result = search_avoider(cfg)
-                    assert (result.status == FOUND) == expected, (size, k, cfg)
+def test_pruning_safety_matches_unpruned_and_brute(in_process_pool, monkeypatch):
+    # The unreduced search, the reference for both symmetry rules, offers
+    # every color for every edge.
+    small = [(size, k, 4) for size in range(2, 6) for k in (1, 2)]
+    beyond_brute = {  # shape: nodes of the unreduced search
+        (5, 3, 4): 19,
+        (6, 3, 4): 20_172,
+        (7, 3, 4): 75_351,
+        (7, 2, 6): 31,
+        (8, 2, 6): 55_514,
+        (6, 4, 4): 34,
+    }
+    reduced = {shape: search_avoider(SearchConfig(*shape))
+               for shape in [*small, *beyond_brute]}
+    monkeypatch.setattr(
+        search_module._Searcher,
+        "_choices",
+        lambda searcher, idx, max_used: range(1, searcher.cfg.color_count + 1),
+    )
+    for shape in small:
+        expected = _brute_avoider_exists(*shape)
+        assert (reduced[shape].status == FOUND) == expected, shape
+        unreduced = search_avoider(SearchConfig(*shape))
+        assert (unreduced.status == FOUND) == expected, shape
+    for shape, nodes in beyond_brute.items():
+        unreduced = search_avoider(SearchConfig(*shape))
+        assert unreduced.status == reduced[shape].status, shape
+        assert unreduced.nodes == nodes, shape
+    # The workers' prefix replay offers colors through the same _choices,
+    # here also colors that first use would never offer.
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
+    parallel = search_avoider(SearchConfig(6, 3, 4, threads=2))
+    assert parallel == SearchResult(CERTIFIED_NONE, None, 20_172)
 
 
 def test_parallel_search_agrees_with_sequential():
@@ -334,7 +352,29 @@ def test_parallel_search_memory_stays_flat(in_process_pool, monkeypatch):
     assert peaks[1] <= 2 * peaks[0], peaks
 
 
-def _kernel_state(searcher):
+def test_color_classes_are_built_on_first_offer():
+    # First use offers at most one color beyond those used, so memory
+    # follows the colors the walk reaches, never the declared count.
+    peaks = {}
+    for k in (4, 10**3, 10**5):
+        tracemalloc.start()
+        try:
+            result = search_avoider(SearchConfig(46, k, 4, node_budget=1))
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == SearchResult(BUDGET_EXHAUSTED, None, 1)
+    assert max(peaks.values()) <= 2 * peaks[4], peaks
+    # The K_46 avoider uses 44 of its 1,000 colors: 45 classes were offered.
+    searcher = search_module._Searcher(SearchConfig(46, 1000, 4))
+    result = searcher.run()
+    assert (result.status, result.nodes) == (FOUND, 16_214)
+    assert result.coloring.color_count == 1000
+    assert len(set(result.coloring.assignment.values())) == 44
+    assert len(searcher.adds) == 1 + 45
+
+
+def _kernel_state(classes):
     return [
         (
             list(cls.mate),
@@ -346,7 +386,7 @@ def _kernel_state(searcher):
             list(cls.trail),
             list(cls.flips),
         )
-        for cls in searcher.classes[1:]
+        for cls in classes[1:]
     ]
 
 
@@ -374,10 +414,11 @@ def _expected_trigger(cls, u, v):
 
 @pytest.mark.parametrize("size", range(6, 11))
 def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
-    """Random push/pop walks through the search kernel: every verdict must
-    match a matching computed from scratch, every prune trigger must run
-    the blossom searches its shape calls for, a pruned assignment must leave
-    no trace, and a full unwind must restore the initial state."""
+    """Random push/pop walks through k color classes that share one
+    forest, as in a search: every verdict must match a matching computed
+    from scratch, every prune trigger must run the blossom searches its
+    shape calls for, a pruned edge must leave no trace, and a full unwind
+    must restore the initial state."""
     searches = []  # (roots, found, flip, entries logged) of each search
     real_augment = search_module._Forest.augment
 
@@ -390,29 +431,40 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
     hits = collections.Counter()
     rng = random.Random(size)
+    edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
+
+    def pop(stack, classes, color_of):
+        idx = stack.pop()
+        classes[color_of[idx]].remove(*edges[idx])
+        color_of[idx] = 0
+
     for k in (1, 2, 3):
         for n in (4, 6, 8):
-            searcher = search_module._Searcher(SearchConfig(size, k, n))
-            initial = _kernel_state(searcher)
-            edges = searcher.edge_list
+            forest = search_module._Forest(size)
+            classes = [None] + [
+                search_module._ColorMatching(size, n // 2, forest)
+                for _ in range(k)
+            ]
+            color_of = [0] * len(edges)
+            initial = _kernel_state(classes)
             stack: list[int] = []
             for _ in range(150):
-                free = [i for i in range(len(edges)) if searcher.color_of[i] == 0]
+                free = [i for i in range(len(edges)) if color_of[i] == 0]
                 if stack and (not free or rng.random() < 0.3):
-                    searcher._unassign(stack.pop())
+                    pop(stack, classes, color_of)
                     continue
                 idx = rng.choice(free)
                 color = rng.randint(1, k)
                 shape, ends, exposed, matched = _expected_trigger(
-                    searcher.classes[color], *edges[idx]
+                    classes[color], *edges[idx]
                 )
                 searches.clear()
-                before = _kernel_state(searcher), list(searcher.color_of)
-                viable = searcher._assign(idx, color)
+                before = _kernel_state(classes)
+                viable = classes[color].add(*edges[idx])
                 kernel_searches = list(searches)
                 cls = Graph.from_edges(
                     size,
-                    [edges[i] for i in stack if searcher.color_of[i] == color]
+                    [edges[i] for i in stack if color_of[i] == color]
                     + [edges[idx]],
                 )
                 assert viable == (max_connected_matching(cls)[0] < n // 2)
@@ -442,14 +494,14 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                         _, found, flip, logged = kernel_searches[-1]
                         assert found and not flip and logged == 0
                 if viable:
+                    color_of[idx] = color
                     stack.append(idx)
                 else:
-                    # A pruned assignment is not applied, so nothing is undone.
-                    assert (_kernel_state(searcher), searcher.color_of) == before
+                    # A pruned edge is not added, so nothing is undone.
+                    assert _kernel_state(classes) == before
             while stack:
-                searcher._unassign(stack.pop())
-            assert _kernel_state(searcher) == initial
-            forest = searcher.classes[1].forest
+                pop(stack, classes, color_of)
+            assert _kernel_state(classes) == initial
             assert forest.parent == [-1] * size
             assert forest.base == list(range(size))
             assert not any(forest.even + forest.seen + forest.in_blossom)
