@@ -4,6 +4,12 @@ Vertices are dense 0-based integers; isolated vertices are representable
 (``vertex_count`` may exceed the number of touched vertices). Adjacency is
 precomputed at construction and all operations are pure, so values can be
 shared freely across threads.
+
+Subgraphs cost time proportional to their own size, not to the host's. A
+``Graph`` is built, checked and deduplicated in one pass over its edges. An
+``EdgeColoring`` indexes its edges by color at construction, so
+``color_class`` reads only the edges of its color, O(E_c), and
+``Graph.induced`` walks only the adjacency of the chosen vertices.
 """
 
 from __future__ import annotations
@@ -32,25 +38,37 @@ class Graph:
     )
 
     def __post_init__(self):
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        normalized = set()
-        for u, v in self.edges:
-            if u == v:
+        # One pass: normalize to (low, high), check, deduplicate and fill
+        # the adjacency; errors name the edge as given.
+        seen: set[tuple[int, int]] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for e in self.edges:
+            u, v = e
+            if u < v:
+                if u < 0 or v >= n:
+                    raise ValueError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+                if type(e) is not tuple:
+                    e = (u, v)
+            elif v < u:
+                if v < 0 or u >= n:
+                    raise ValueError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+                u, v = v, u
+                e = (u, v)
+            else:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range 0..{self.vertex_count - 1}")
-            normalized.add(_normalize_edge(u, v))
-        object.__setattr__(self, "edges", frozenset(normalized))
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in normalized:
-            adj[u].append(v)
-            adj[v].append(u)
+            if e not in seen:
+                seen.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
+        object.__setattr__(self, "edges", frozenset(seen))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        return cls(vertex_count, frozenset(_normalize_edge(u, v) for u, v in edges))
+        return cls(vertex_count, edges)
 
     @property
     def edge_count(self) -> int:
@@ -77,42 +95,82 @@ class Graph:
         """Subgraph induced on ``vertices``.
 
         Returns the relabeled graph plus the sorted original ids, so local
-        vertex ``j`` corresponds to original id ``ids[j]``.
+        vertex ``j`` corresponds to original id ``ids[j]``. Walks only the
+        adjacency of the chosen vertices: O(s log s + sum of their degrees)
+        for s vertices. Raises ValueError on an id outside
+        ``0..vertex_count-1``.
         """
         ids = tuple(sorted(set(vertices)))
+        if ids and (ids[0] < 0 or ids[-1] >= self.vertex_count):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(
+                f"vertex {bad} out of range 0..{self.vertex_count - 1}"
+            )
         index = {orig: j for j, orig in enumerate(ids)}
-        sub = frozenset(
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        )
+        adj = self._adj
+        # Each edge is taken once, from its smaller end; ids are sorted, so
+        # the local pair (j, index[w]) is already (low, high).
+        sub = [
+            (j, index[w])
+            for j, u in enumerate(ids)
+            for w in adj[u]
+            if w > u and w in index
+        ]
         return Graph(len(ids), sub), ids
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total assignment of colors ``1..color_count`` to a graph's edges."""
+    """Total assignment of colors ``1..color_count`` to a graph's edges.
+
+    Construction also indexes the edges by color, so a color's edge list
+    costs nothing to look up.
+    """
 
     color_count: int
     assignment: Mapping[tuple[int, int], int]
+    _by_color: dict[int, list[tuple[int, int]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         if self.color_count < 1:
             raise ValueError("color_count must be positive")
         normalized = {}
-        for (u, v), color in self.assignment.items():
+        for e, color in self.assignment.items():
+            u, v = e
             if not 1 <= color <= self.color_count:
                 raise ColorRangeError(
                     f"color {color} on edge ({u}, {v}) outside 1..{self.color_count}"
                 )
-            normalized[_normalize_edge(u, v)] = color
+            if v < u:
+                e = (v, u)
+            elif type(e) is not tuple:
+                e = (u, v)
+            normalized[e] = color
         object.__setattr__(self, "assignment", normalized)
+        # Built from the normalized map, so an edge given in both
+        # orientations is listed once, under the color it kept.
+        by_color: dict[int, list[tuple[int, int]]] = {}
+        for e, color in normalized.items():
+            edges = by_color.get(color)
+            if edges is None:
+                by_color[color] = [e]
+            else:
+                edges.append(e)
+        object.__setattr__(
+            self, "_by_color", {c: by_color[c] for c in sorted(by_color)}
+        )
 
     def color_of(self, u: int, v: int) -> int:
         return self.assignment[_normalize_edge(u, v)]
 
+    def colors_used(self) -> tuple[int, ...]:
+        """Colors that carry at least one edge, in ascending order."""
+        return tuple(self._by_color)
+
     def edges_of_color(self, color: int) -> list[tuple[int, int]]:
-        return sorted(e for e, c in self.assignment.items() if c == color)
+        return sorted(self._by_color.get(color, ()))
 
     def validate_against(self, g: Graph) -> None:
         """Raise unless this coloring covers exactly the edges of ``g``."""
@@ -169,11 +227,19 @@ def components(g: Graph) -> ComponentLabeling:
 
 
 def color_class(g: Graph, coloring: EdgeColoring, color: int) -> Graph:
-    """Spanning subgraph of ``g`` keeping exactly the edges of one color."""
+    """Spanning subgraph of ``g`` keeping exactly the edges of one color.
+
+    Reads the coloring's edge list for ``color`` and keeps the edges that
+    lie in ``g``: O(V + E_c) for E_c edges of that color, independent of
+    the other colors.
+    """
     if not 1 <= color <= coloring.color_count:
         raise ColorRangeError(f"color {color} outside 1..{coloring.color_count}")
-    kept = frozenset(e for e in g.edges if coloring.assignment.get(e) == color)
-    return Graph(g.vertex_count, kept)
+    edges = g.edges
+    return Graph(
+        g.vertex_count,
+        [e for e in coloring._by_color.get(color, ()) if e in edges],
+    )
 
 
 # -- construction helpers ----------------------------------------------------

@@ -130,10 +130,21 @@ def classify_vertices(
 def _color_partitions(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> dict[int, tuple[SQIPartition, ...]]:
-    """S/Q/I partitions of every color class, after the detection guard."""
+    """S/Q/I partitions of every color class, after the detection guard.
+
+    Every color without edges has the same edgeless class, so its
+    partitions are computed once and the tuple is shared.
+    """
     require_no_monochromatic_cm(g, coloring, n)
-    return {
+    used = {
         color: tuple(component_partitions(color_class(g, coloring, color), n))
+        for color in coloring.colors_used()
+    }
+    if len(used) == coloring.color_count:
+        return used
+    edgeless = tuple(component_partitions(Graph(g.vertex_count, frozenset()), n))
+    return {
+        color: used.get(color, edgeless)
         for color in range(1, coloring.color_count + 1)
     }
 

@@ -355,13 +355,13 @@ def check_witness(g: Graph, coloring: EdgeColoring, n: int, w: CMWitness) -> boo
 def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
     """First monochromatic connected matching of size ``n/2``, if any.
 
-    Colors are scanned in ascending order, components in labeling order, so
-    the witness is deterministic. Returns None iff no color class has a
-    component whose matching number reaches ``n/2``.
+    Colors that carry an edge are scanned in ascending order, components
+    in labeling order, so the witness is deterministic. Returns None iff no
+    color class has a component whose matching number reaches ``n/2``.
     """
     require_even_n(n)
     target = n // 2
-    for color in range(1, coloring.color_count + 1):
+    for color in coloring.colors_used():
         cls = color_class(g, coloring, color)
         for comp in components(cls).vertex_sets():
             if len(comp) < n:

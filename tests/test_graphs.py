@@ -155,3 +155,123 @@ def test_dot_export_mentions_classes_and_colors():
     assert "subgraph cluster_0" in dot
     assert '0 [class="S"];' in dot
     assert "0 -- 1 [color=1];" in dot
+
+
+# -- edge-scan references for the indexed graph layer ------------------------
+
+def _ref_graph(vertex_count, edges):
+    """Normalized edge set and sorted adjacency, one check per edge."""
+    normalized = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError(f"edge ({u}, {v}) out of range 0..{vertex_count - 1}")
+        normalized.add((min(u, v), max(u, v)))
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in normalized:
+        adj[u].append(v)
+        adj[v].append(u)
+    return frozenset(normalized), tuple(tuple(sorted(a)) for a in adj)
+
+
+def _ref_color_class(g, coloring, color):
+    return frozenset(e for e in g.edges if coloring.assignment.get(e) == color)
+
+
+def _ref_edges_of_color(coloring, color):
+    return sorted(e for e, c in coloring.assignment.items() if c == color)
+
+
+def _ref_induced(g, vertices):
+    ids = sorted(set(vertices))
+    index = {orig: j for j, orig in enumerate(ids)}
+    edges = frozenset(
+        (index[u], index[v]) for u, v in g.edges if u in index and v in index
+    )
+    return edges, tuple(ids)
+
+
+def test_indexed_subgraphs_match_edge_scan_references():
+    rng = random.Random(20240611)
+    for _ in range(150):
+        n = rng.randint(0, 14)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = [e for e in pairs if rng.random() < rng.random()]
+        # Input edges in either orientation, some given both ways.
+        given = [e if rng.random() < 0.5 else e[::-1] for e in chosen]
+        given += [e[::-1] for e in chosen if rng.random() < 0.2]
+        rng.shuffle(given)
+        g = Graph(n, frozenset(given))
+        edges, adj = _ref_graph(n, given)
+        assert g.edges == edges
+        assert g.adjacency == adj
+        assert Graph.from_edges(n, iter(given)) == g
+        assert Graph.from_edges(n, iter(given)).adjacency == adj
+        assert Graph.from_edges(n, [list(e) for e in given]).edges == edges
+
+        # The coloring misses some edges of g, carries some pairs outside
+        # g, and names some edges in both orientations.
+        k = rng.randint(1, 5)
+        assignment = {}
+        for u, v in pairs:
+            if ((u, v) in edges and rng.random() < 0.85) or rng.random() < 0.2:
+                key = (u, v) if rng.random() < 0.5 else (v, u)
+                assignment[key] = rng.randint(1, k)
+                if rng.random() < 0.1:
+                    assignment[key[::-1]] = rng.randint(1, k)
+        coloring = EdgeColoring(k, assignment)
+        used = []
+        for color in range(1, k + 1):
+            assert color_class(g, coloring, color).edges == _ref_color_class(
+                g, coloring, color
+            )
+            assert color_class(g, coloring, color).vertex_count == n
+            listed = coloring.edges_of_color(color)
+            assert listed == _ref_edges_of_color(coloring, color)
+            if listed:
+                used.append(color)
+        assert coloring.colors_used() == tuple(used)
+
+        # Unordered vertex iterables with repeats.
+        picks = rng.randint(0, 2 * n) if n else 0
+        chosen_vertices = [rng.randrange(n) for _ in range(picks)]
+        sub, ids = g.induced(chosen_vertices)
+        ref_edges, ref_ids = _ref_induced(g, chosen_vertices)
+        assert ids == ref_ids
+        assert sub.vertex_count == len(ref_ids)
+        assert sub.edges == ref_edges
+        assert sub.adjacency == _ref_graph(len(ref_ids), ref_edges)[1]
+
+
+def test_graph_error_messages_name_the_edge_as_given():
+    cases = [
+        (3, frozenset({(5, 1)}), "edge (5, 1) out of range 0..2"),
+        (3, frozenset({(1, 5)}), "edge (1, 5) out of range 0..2"),
+        (3, frozenset({(-1, 2)}), "edge (-1, 2) out of range 0..2"),
+        (3, frozenset({(2, -1)}), "edge (2, -1) out of range 0..2"),
+        (0, frozenset({(0, 1)}), "edge (0, 1) out of range 0..-1"),
+        (3, frozenset({(1, 1)}), "self-loop at vertex 1"),
+        (3, frozenset({(7, 7)}), "self-loop at vertex 7"),
+        (-1, frozenset(), "vertex_count must be nonnegative"),
+    ]
+    for vertex_count, edges, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Graph(vertex_count, edges)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(vertex_count, list(edges))
+        assert str(exc.value) == message
+
+
+def test_induced_rejects_vertex_ids_out_of_range():
+    g = complete_graph(4)
+    for vertices in ([-1], [0, 4], [3, 2, 17], range(-2, 2)):
+        with pytest.raises(ValueError, match="out of range 0..3"):
+            g.induced(vertices)
+    sub, ids = g.induced([3, 0, 3])
+    assert ids == (0, 3) and sub.edges == frozenset({(0, 1)})
+    empty, ids = Graph(0, frozenset()).induced([])
+    assert ids == () and empty.vertex_count == 0
+    with pytest.raises(ValueError):
+        Graph(0, frozenset()).induced([0])

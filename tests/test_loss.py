@@ -223,3 +223,40 @@ def test_random_multicolor_suite():
         holds, ledger = check_F_inequality(g, coloring, n)
         assert holds
         assert all(v >= 0 for v in ledger.per_vertex.values())
+
+
+def test_unused_colors_share_one_edgeless_partition(monkeypatch):
+    from cmstruct import loss as loss_module
+
+    calls = []
+    partitions = loss_module.component_partitions
+
+    def counting(g, n):
+        calls.append(g.edge_count)
+        return partitions(g, n)
+
+    monkeypatch.setattr(loss_module, "component_partitions", counting)
+    g = Graph.from_edges(5, [(0, 1)])
+    coloring = EdgeColoring(10**5, {(0, 1): 4})
+    classes = classify_vertices(g, coloring, 4)
+    assert len(calls) <= len(coloring.colors_used()) + 1
+    assert classes == classify_vertices(g, EdgeColoring(3, {(0, 1): 2}), 4)
+
+
+def test_shared_edgeless_partitions_give_the_unshared_ledger(monkeypatch):
+    # k = 4 with colors 2 and 4 unused.
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
+    coloring = EdgeColoring(4, {(0, 1): 1, (1, 2): 1, (0, 2): 3, (3, 4): 3})
+    assert coloring.colors_used() == (1, 3)
+    holds, shared = check_F_inequality(g, coloring, 4)
+    assert shared.partitions[2] is shared.partitions[4]
+    # Claiming every color as used computes each class on its own.
+    monkeypatch.setattr(EdgeColoring, "colors_used", lambda self: (1, 2, 3, 4))
+    holds_unshared, unshared = check_F_inequality(g, coloring, 4)
+    assert shared.partitions[2] is not unshared.partitions[2]
+    assert list(shared.partitions) == [1, 2, 3, 4]
+    assert (holds, shared) == (holds_unshared, unshared)
+    assert shared.partitions == {
+        c: tuple(component_partitions(color_class(g, coloring, c), 4))
+        for c in range(1, 5)
+    }

@@ -255,3 +255,31 @@ def test_berge_bound_for_random_matchings():
                 break
         missed = g.vertex_count - 2 * len(sample)
         assert missed >= len(w.odd_components) - len(w.witness)
+
+
+def test_find_mono_cm_builds_only_the_classes_of_used_colors(monkeypatch):
+    from cmstruct import EdgeColoring, find_mono_cm
+
+    built = []
+    build = matching_module.color_class
+
+    def counting(g, coloring, color):
+        built.append(color)
+        return build(g, coloring, color)
+
+    monkeypatch.setattr(matching_module, "color_class", counting)
+    g = Graph.from_edges(5, [(0, 1)])
+    coloring = EdgeColoring(10**5, {(1, 0): 77_777})
+    assert find_mono_cm(g, coloring, 4) is None
+    assert built == [77_777]
+    # Used colors are still scanned in ascending order: the first one with
+    # a large connected matching gives the witness.
+    built.clear()
+    g = path_graph(6)
+    coloring = EdgeColoring(
+        10**5, {(0, 1): 9, (1, 2): 9, (2, 3): 9, (3, 4): 5, (4, 5): 3}
+    )
+    witness = find_mono_cm(g, coloring, 4)
+    assert witness is not None and witness.color == 9
+    # The last build is the witness check's own class of color 9.
+    assert built == [3, 5, 9, 9]
