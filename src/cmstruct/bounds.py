@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .graphs import EdgeColoring, Graph, color_class, components
+from .graphs import EdgeColoring, Graph, components, per_color
 from .loss import VertexClass, classify_vertices
 from .matching import require_no_connected_matching
 
@@ -32,28 +32,30 @@ def erdos_gallai_check(g: Graph, n: int) -> tuple[bool, Fraction]:
     return g.edge_count <= bound, bound - g.edge_count
 
 
+def _largest_mono_component(g: Graph, coloring: EdgeColoring) -> int:
+    """Order of the largest component of any color class (0 on no vertices)."""
+    sizes = per_color(g, coloring, lambda cls: max(components(cls).sizes, default=0))
+    return max(sizes.values())
+
+
 def small_components_bound(
-    g: Graph, coloring: EdgeColoring, k: int, n: int
+    g: Graph, coloring: EdgeColoring, n: int
 ) -> tuple[bool, bool, Fraction]:
     """Edge cap for colorings whose monochromatic components stay small.
 
+    ``k`` is the coloring's ``color_count``, counting colors no edge uses.
     Applicable when ``k >= 4``, ``n >= 4``, ``v(G) == (k - 1/2) n`` exactly,
     and no color class has a component on more than ``n`` vertices. The cap
     is ``C(v, 2) - n^2 / 32``. Returns (applicable, holds, slack); holds and
     slack are computed regardless, for reporting.
     """
+    k = coloring.color_count
     applicable = (
         k >= 4
         and n >= 4
-        and coloring.color_count == k
         and Fraction(g.vertex_count) == Fraction(2 * k - 1, 2) * n
+        and _largest_mono_component(g, coloring) <= n
     )
-    if applicable:
-        for color in range(1, k + 1):
-            sizes = components(color_class(g, coloring, color)).sizes
-            if sizes and max(sizes) > n:
-                applicable = False
-                break
     bound = Fraction(comb(g.vertex_count, 2)) - Fraction(n * n, 32)
     return applicable, g.edge_count <= bound, bound - g.edge_count
 
@@ -223,10 +225,7 @@ def audit_coloring(
     max_comp = 0
     if qsat_survivors:
         sub, sub_coloring = _induced_coloring(g, coloring, qsat_survivors)
-        for color in range(1, coloring.color_count + 1):
-            sizes = components(color_class(sub, sub_coloring, color)).sizes
-            if sizes:
-                max_comp = max(max_comp, max(sizes))
+        max_comp = _largest_mono_component(sub, sub_coloring)
 
     # Small-components step: trim survivors to exactly (k - 1/2) n vertices
     # (keeping the smallest ids) when possible, mirroring the removal step.
@@ -235,7 +234,7 @@ def audit_coloring(
     if residual_ok and residual_required.denominator == 1:
         trimmed = survivors[: int(residual_required)]
         sub, sub_coloring = _induced_coloring(g, coloring, trimmed)
-        sc_applicable, sc_ok, _ = small_components_bound(sub, sub_coloring, k, n)
+        sc_applicable, sc_ok, _ = small_components_bound(sub, sub_coloring, n)
 
     qsat_loss = {
         v: (

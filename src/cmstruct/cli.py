@@ -97,14 +97,10 @@ def _cmd_decompose(args) -> int:
             worst = EXIT_VIOLATED
             continue
         report = partition.verify_sqi(sub, args.n, p)
-        mapped = {
-            "S": sorted(ids[v] for v in p.S),
-            "Q": sorted(ids[v] for v in p.Q),
-            "I": sorted(ids[v] for v in p.I),
-        }
-        for name in ("S", "Q", "I"):
-            print(f"  {name} = {_fmt_set(mapped[name])}")
-            for v in mapped[name]:
+        mapped = p.relabel(ids)
+        for name, members in (("S", mapped.S), ("Q", mapped.Q), ("I", mapped.I)):
+            print(f"  {name} = {_fmt_set(members)}")
+            for v in members:
                 all_classes[v] = name
         core = [c for c in report.checks if c.name in
                 ("partition", "size-equality", "independence", "q-neighbors", "i-degree")]
@@ -143,11 +139,8 @@ def _cmd_loss_check(args) -> int:
     tag = "HOLDS (equality)" if sigma == total else "HOLDS" if holds else "VIOLATED"
     print(f"{kind} loss bound: {tag}")
     if coloring.color_count > 1:
-        parts = sum(
-            (loss.f_graph(graphs.color_class(g, coloring, i), args.n)
-             for i in range(1, coloring.color_count + 1)),
-            Fraction(0),
-        )
+        f_parts = graphs.per_color(g, coloring, lambda cls: loss.f_graph(cls, args.n))
+        parts = sum(f_parts.values(), Fraction(0))
         print(f"additivity over colors: {'HOLDS' if parts == total else 'VIOLATED'}")
         holds = holds and parts == total
     if args.machine:
@@ -183,9 +176,8 @@ def _cmd_bounds_check(args) -> int:
         f"(e = {g.edge_count}, slack = {_fmt(slack)})"
     )
     ok = ok and holds
-    k = args.k if args.k is not None else coloring.color_count
     applicable, sc_holds, sc_slack = bounds_mod.small_components_bound(
-        g, coloring, k, args.n
+        g, coloring, args.n
     )
     if applicable:
         print(
@@ -357,7 +349,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bounds-check", help="edge-count bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, help="override color count for the cap")
     p.set_defaults(func=_cmd_bounds_check)
 
     p = sub.add_parser("audit", help="dense-coloring counting-chain audit")

@@ -15,12 +15,14 @@ Subgraphs cost time proportional to their own size, not to the host's. A
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import ColorRangeError, GraphFormatError
 
 # Largest vertex count parse_graph accepts; Graph builds one list per vertex.
 MAX_VERTICES = 10**6
+
+T = TypeVar("T")
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -240,6 +242,21 @@ def color_class(g: Graph, coloring: EdgeColoring, color: int) -> Graph:
         g.vertex_count,
         [e for e in coloring._by_color.get(color, ()) if e in edges],
     )
+
+
+def per_color(
+    g: Graph, coloring: EdgeColoring, fn: Callable[[Graph], T]
+) -> dict[int, T]:
+    """``fn`` of every color class of ``g``, keyed by color ``1..k``.
+
+    All colors that no edge uses share one edgeless class and one ``fn``
+    call, so the calls number the used colors plus at most one.
+    """
+    used = {c: fn(color_class(g, coloring, c)) for c in coloring.colors_used()}
+    if len(used) == coloring.color_count:
+        return used
+    edgeless = fn(Graph(g.vertex_count, ()))
+    return {c: used.get(c, edgeless) for c in range(1, coloring.color_count + 1)}
 
 
 # -- construction helpers ----------------------------------------------------

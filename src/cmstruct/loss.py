@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidPartitionError
-from .graphs import EdgeColoring, Graph, color_class, components
+from .graphs import EdgeColoring, Graph, components, per_color
 from .matching import require_no_connected_matching, require_no_monochromatic_cm
 from .partition import SQIPartition, component_partitions, verify_sqi
 
@@ -66,8 +66,9 @@ def f_vertex(
             raise InvalidPartitionError("partition set is not a component")
         if covered & comp_vertices:
             raise InvalidPartitionError("partitions overlap")
-        sub, _ = g.induced(comp_vertices)
-        report = verify_sqi(sub, n, _relabel(p, comp_vertices))
+        sub, ids = g.induced(comp_vertices)
+        local = p.relabel({orig: j for j, orig in enumerate(ids)})
+        report = verify_sqi(sub, n, local)
         if not report.all_pass:
             names = ", ".join(c.name for c in report.failed())
             raise InvalidPartitionError(f"partition fails: {names}")
@@ -85,17 +86,6 @@ def f_vertex(
             values[v] = Fraction(0)
     assert all(x >= 0 for x in values.values())
     return values
-
-
-def _relabel(p: SQIPartition, comp_vertices: frozenset[int]) -> SQIPartition:
-    ids = sorted(comp_vertices)
-    index = {orig: j for j, orig in enumerate(ids)}
-    return SQIPartition(
-        frozenset(index[v] for v in p.S),
-        frozenset(index[v] for v in p.Q),
-        frozenset(index[v] for v in p.I),
-        p.n,
-    )
 
 
 def check_f_inequality(g: Graph, n: int) -> tuple[bool, LossLedger]:
@@ -132,35 +122,24 @@ def _color_partitions(
 ) -> dict[int, tuple[SQIPartition, ...]]:
     """S/Q/I partitions of every color class, after the detection guard.
 
-    Every color without edges has the same edgeless class, so its
-    partitions are computed once and the tuple is shared.
+    The unused colors share one tuple (see ``graphs.per_color``).
     """
     require_no_monochromatic_cm(g, coloring, n)
-    used = {
-        color: tuple(component_partitions(color_class(g, coloring, color), n))
-        for color in coloring.colors_used()
-    }
-    if len(used) == coloring.color_count:
-        return used
-    edgeless = tuple(component_partitions(Graph(g.vertex_count, frozenset()), n))
-    return {
-        color: used.get(color, edgeless)
-        for color in range(1, coloring.color_count + 1)
-    }
+    return per_color(g, coloring, lambda cls: tuple(component_partitions(cls, n)))
 
 
 def _classify(
-    g: Graph, per_color: Mapping[int, tuple[SQIPartition, ...]]
+    g: Graph, partitions: Mapping[int, tuple[SQIPartition, ...]]
 ) -> dict[int, VertexClass]:
     in_s = [False] * g.vertex_count
     q_count = [0] * g.vertex_count
-    for parts in per_color.values():
+    for parts in partitions.values():
         for p in parts:
             for v in p.S:
                 in_s[v] = True
             for v in p.Q:
                 q_count[v] += 1
-    k = len(per_color)
+    k = len(partitions)
     out: dict[int, VertexClass] = {}
     for v in range(g.vertex_count):
         if in_s[v]:
@@ -191,8 +170,8 @@ def check_F_inequality(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> tuple[bool, LossLedger]:
     """Multicolor analogue of check_f_inequality."""
-    per_color = _color_partitions(g, coloring, n)
-    classes = _classify(g, per_color)
+    partitions = _color_partitions(g, coloring, n)
+    classes = _classify(g, partitions)
     k = coloring.color_count
     values: dict[int, Fraction] = {}
     for v in range(g.vertex_count):
@@ -210,6 +189,6 @@ def check_F_inequality(
         values,
         total,
         {v: c.value for v, c in classes.items()},
-        per_color,
+        partitions,
     )
     return ledger.vertex_sum <= total, ledger

@@ -17,7 +17,7 @@ condition 1 holds with equality.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -47,6 +47,17 @@ class SQIPartition:
         if v in self.I:
             return "I"
         raise KeyError(v)
+
+    def relabel(self, ids: Sequence[int] | Mapping[int, int]) -> SQIPartition:
+        """The same partition with every vertex ``v`` renamed ``ids[v]``:
+        ``ids`` is ``Graph.induced``'s id tuple (subgraph to host ids) or an
+        injective mapping (for example host to subgraph ids)."""
+        return SQIPartition(
+            frozenset(ids[v] for v in self.S),
+            frozenset(ids[v] for v in self.Q),
+            frozenset(ids[v] for v in self.I),
+            self.n,
+        )
 
 
 @dataclass(frozen=True)
@@ -219,13 +230,5 @@ def component_partitions(g: Graph, n: int) -> list[SQIPartition]:
     result = []
     for comp in components(g).vertex_sets():
         sub, ids = g.induced(comp)
-        local = sqi_partition(sub, n)
-        result.append(
-            SQIPartition(
-                frozenset(ids[x] for x in local.S),
-                frozenset(ids[x] for x in local.Q),
-                frozenset(ids[x] for x in local.I),
-                n,
-            )
-        )
+        result.append(sqi_partition(sub, n).relabel(ids))
     return result

@@ -26,7 +26,8 @@ from cmstruct.errors import (
     HasMonochromaticMatchingError,
     OddNError,
 )
-from cmstruct.graphs import Graph
+from cmstruct.bounds import _induced_coloring
+from cmstruct.graphs import Graph, color_class, components
 
 from .generators import avoiding_graph
 
@@ -69,7 +70,7 @@ def test_erdos_gallai_random_suite():
 
 def test_small_components_bound_arithmetic():
     g, coloring = bounded_component_coloring(14, 4, 4, seed=3)
-    applicable, holds, slack = small_components_bound(g, coloring, 4, 4)
+    applicable, holds, slack = small_components_bound(g, coloring, 4)
     assert applicable and holds
     # cap is C(14,2) - 16/32 = 91 - 1/2, so any integer e <= 90 passes
     assert slack == Fraction(91) - Fraction(1, 2) - g.edge_count
@@ -81,20 +82,68 @@ def test_small_components_bound_applicability():
     edges = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1}
     g = Graph(14, frozenset(edges))
     coloring = EdgeColoring(4, edges)
-    applicable, _, _ = small_components_bound(g, coloring, 4, 4)
+    applicable, _, _ = small_components_bound(g, coloring, 4)
     assert not applicable
     # wrong vertex count
     g2, c2 = bounded_component_coloring(13, 4, 4, seed=3)
-    assert not small_components_bound(g2, c2, 4, 4)[0]
+    assert not small_components_bound(g2, c2, 4)[0]
 
 
 def test_small_components_bound_n8():
     g = Graph(28, frozenset())
     coloring = EdgeColoring(4, {})
-    applicable, holds, slack = small_components_bound(g, coloring, 4, 8)
+    applicable, holds, slack = small_components_bound(g, coloring, 8)
     assert applicable and holds
     assert slack == comb(28, 2) - Fraction(64, 32)
     assert comb(28, 2) - Fraction(64, 32) == 376
+
+
+def _applicable_per_declared_color(g, coloring, n):
+    """Applicability as a loop over every declared color's class."""
+    k = coloring.color_count
+    if not (k >= 4 and n >= 4 and 2 * g.vertex_count == (2 * k - 1) * n):
+        return False
+    for color in range(1, k + 1):
+        sizes = components(color_class(g, coloring, color)).sizes
+        if sizes and max(sizes) > n:
+            return False
+    return True
+
+
+def test_small_components_applicability_matches_per_color_loop():
+    cases = [
+        (Graph(0, frozenset()), EdgeColoring(4, {}), 4),
+        (Graph(14, frozenset()), EdgeColoring(6, {}), 4),
+    ]
+    rng = random.Random(12)
+    for k, n in ((4, 4), (5, 4), (4, 6), (6, 4)):
+        v = (2 * k - 1) * n // 2
+        for max_component in (2, n, n + 1, n + 3):
+            g, coloring = bounded_component_coloring(
+                v, k, max_component, seed=rng.randrange(10**6)
+            )
+            cases += [(g, coloring, n), (g, coloring, n + 2)]
+            # The same edges with two more colors declared but unused.
+            wider = EdgeColoring(k + 2, coloring.assignment)
+            cases += [(g, wider, n), (Graph(v + 2 * n, g.edges), wider, n)]
+    # Four disjoint triangles on 14 vertices, each edge of a triangle in its
+    # own color of 1..3, with color 4 declared but unused.
+    triangles = {}
+    for base in (0, 3, 6, 9):
+        triangles.update(
+            {(base, base + 1): 1, (base + 1, base + 2): 2, (base, base + 2): 3}
+        )
+    cases += [(Graph(14, frozenset(triangles)), EdgeColoring(4, triangles), 4)]
+    # The audit's trimmed survivors: the first (k - 1/2) n vertices of a
+    # larger coloring, with its color count.
+    g17, c17 = bounded_component_coloring(17, 4, 4, seed=5)
+    cases += [(*_induced_coloring(g17, c17, list(range(14))), 4)]
+    seen = set()
+    for g, coloring, n in cases:
+        applicable = small_components_bound(g, coloring, n)[0]
+        assert applicable == _applicable_per_declared_color(g, coloring, n)
+        seen.add(applicable)
+    assert seen == {True, False}
 
 
 def test_hypotheses_on_complete_graphs():

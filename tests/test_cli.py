@@ -1,6 +1,8 @@
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from cmstruct import (
     serialize,
     star_graph,
 )
-from cmstruct import cli, partition
+from cmstruct import cli, loss, partition
 from cmstruct.cli import main
 from cmstruct.graphs import MAX_VERTICES
 
@@ -103,6 +105,48 @@ def test_loss_check_machine_lines(tmp_path, capsys):
     assert "additivity over colors: HOLDS" in out
 
 
+def test_loss_check_sums_one_loss_for_all_unused_colors(tmp_path, capsys, monkeypatch):
+    real = loss.f_graph
+    calls = []
+
+    def counting(g, n):
+        calls.append(g.edge_count)
+        return real(g, n)
+
+    monkeypatch.setattr(loss, "f_graph", counting)
+    path = tmp_path / "wide.g"
+    path.write_text("p cm 5 100000\ne 0 1 3\n")
+    code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
+    assert code == 0
+    assert sorted(calls) == [0, 1]
+    assert "additivity over colors: HOLDS" in out
+
+
+def test_loss_check_with_unused_colors(tmp_path, capsys):
+    # A star in color 1 and a triangle in color 3; colors 2 and 4 are unused.
+    path = tmp_path / "unused.g"
+    path.write_text(
+        "p cm 7 4\ne 0 1 1\ne 0 2 1\ne 0 3 1\ne 4 5 3\ne 5 6 3\ne 4 6 3\n"
+    )
+    code, out, _ = run(
+        capsys, ["loss-check", "--n", "4", "--input", str(path), "--machine"]
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "F(G) = 36",
+        "sum F(v) = 85/4",
+        "multicolor loss bound: HOLDS",
+        "additivity over colors: HOLDS",
+        "v 0 strong 3/4",
+        "v 1 q-saturated 11/2",
+        "v 2 small 0/1",
+        "v 3 small 0/1",
+        "v 4 q-saturated 5/1",
+        "v 5 q-saturated 5/1",
+        "v 6 q-saturated 5/1",
+    ]
+
+
 def test_loss_check_rejects_cm_input(tmp_path, capsys):
     path = write_graph(tmp_path / "k4.g", complete_graph(4))
     code, _, err = run(capsys, ["loss-check", "--n", "4", "--input", path])
@@ -128,6 +172,14 @@ def test_bounds_check(tmp_path, capsys):
     assert code == 0
     assert "edge bound e <= (n-2)/2 v: HOLDS (e = 3, slack = 1)" in out
     assert "small-components cap: not applicable" in out
+
+
+def test_bounds_check_takes_the_color_count_from_the_file(tmp_path, capsys):
+    path = write_graph(tmp_path / "star.g", star_graph(3))
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds-check", "--n", "4", "--input", path, "--k", "4"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_audit(tmp_path, capsys):
@@ -377,3 +429,18 @@ def test_oversized_input_fails_fast_within_one_gib(argv, code):
         assert "must be <=" in child.stderr
     else:
         assert "budget exhausted" in child.stdout
+
+
+def test_readme_command_line_examples_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    examples = [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("cmstruct ")
+    ]
+    assert len(examples) >= 9
+    parser = cli._build_parser()
+    for argv in examples:
+        parser.parse_args(argv)

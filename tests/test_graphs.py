@@ -17,7 +17,7 @@ from cmstruct import (
     to_dot,
 )
 from cmstruct.errors import ColorRangeError, GraphFormatError
-from cmstruct.graphs import MAX_VERTICES
+from cmstruct.graphs import MAX_VERTICES, per_color
 
 from .generators import random_graph
 
@@ -275,3 +275,47 @@ def test_induced_rejects_vertex_ids_out_of_range():
     assert ids == () and empty.vertex_count == 0
     with pytest.raises(ValueError):
         Graph(0, frozenset()).induced([0])
+
+
+def _recording(calls):
+    def fn(cls):
+        calls.append(cls)
+        return (cls.vertex_count, cls.edges)
+
+    return fn
+
+
+def test_per_color_builds_one_edgeless_class_for_all_unused_colors():
+    k = 10**5
+    g = Graph(5, frozenset({(0, 1)}))
+    coloring = EdgeColoring(k, {(0, 1): 7})
+    calls = []
+    result = per_color(g, coloring, _recording(calls))
+    assert len(calls) == 2
+    assert list(result) == list(range(1, k + 1))
+    assert result[7] == (5, frozenset({(0, 1)}))
+    assert all(result[c] == (5, frozenset()) for c in (1, 6, 8, k))
+
+
+def test_per_color_with_every_color_used_calls_fn_once_per_color():
+    g = complete_graph(6)
+    coloring = EdgeColoring(3, {e: 1 + sum(e) % 3 for e in g.edges})
+    calls = []
+    result = per_color(g, coloring, _recording(calls))
+    assert list(result) == [1, 2, 3]
+    assert len(calls) == 3
+    assert all(cls.edge_count > 0 for cls in calls)
+
+
+def test_per_color_matches_a_class_per_declared_color():
+    rng = random.Random(61)
+    for _ in range(100):
+        n = rng.randint(0, 9)
+        k = rng.randint(1, 6)
+        g = random_graph(rng, n, rng.random())
+        # Colors drawn from a random subset, so some colors go unused.
+        palette = rng.sample(range(1, k + 1), rng.randint(1, k))
+        coloring = EdgeColoring(k, {e: rng.choice(palette) for e in g.edges})
+        fn = _recording([])
+        reference = {c: fn(color_class(g, coloring, c)) for c in range(1, k + 1)}
+        assert list(per_color(g, coloring, fn).items()) == list(reference.items())
