@@ -10,6 +10,7 @@ printed as num/den, never as decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -140,7 +141,10 @@ def _cmd_loss_check(args) -> int:
     print(f"{kind} loss bound: {tag}")
     if coloring.color_count > 1:
         f_parts = graphs.per_color(g, coloring, lambda cls: loss.f_graph(cls, args.n))
-        parts = sum(f_parts.values(), Fraction(0))
+        parts = sum(
+            (f * count for f, count in graphs.distinct_with_counts(f_parts)),
+            Fraction(0),
+        )
         print(f"additivity over colors: {'HOLDS' if parts == total else 'VIOLATED'}")
         holds = holds and parts == total
     if args.machine:
@@ -324,7 +328,13 @@ def _cmd_ramsey(args) -> int:
     return EXIT_OK if result.status == "exact" else EXIT_BUDGET
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    Parsing reads the parser and leaves it unchanged: every call returns a
+    fresh namespace filled from the same defaults.
+    """
     parser = _Parser(prog="cmstruct", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

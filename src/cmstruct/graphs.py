@@ -5,11 +5,16 @@ Vertices are dense 0-based integers; isolated vertices are representable
 precomputed at construction and all operations are pure, so values can be
 shared freely across threads.
 
-Subgraphs cost time proportional to their own size, not to the host's. A
-``Graph`` is built, checked and deduplicated in one pass over its edges. An
-``EdgeColoring`` indexes its edges by color at construction, so
-``color_class`` reads only the edges of its color, O(E_c), and
-``Graph.induced`` walks only the adjacency of the chosen vertices.
+Subgraphs cost time proportional to their own size, not to the host's.
+The public constructor ``Graph(n, edges)`` checks, normalizes and
+deduplicates every edge in one pass. Graphs derived from checked data skip
+that pass: ``parse_graph`` checks each edge line as it reads it,
+``color_class`` keeps edges of a checked graph, and ``Graph.induced``
+relabels a checked adjacency, so all three fill the fields through the
+private ``Graph._checked``. An ``EdgeColoring`` indexes its edges by color
+at construction, so ``color_class`` reads only the edges of its color,
+O(E_c), and ``Graph.induced`` walks only the adjacency of the chosen
+vertices.
 """
 
 from __future__ import annotations
@@ -29,9 +34,20 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _sorted_rows(adj: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, map(sorted, adj)))
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices ``0..vertex_count-1``."""
+    """Simple undirected graph on vertices ``0..vertex_count-1``.
+
+    ``Graph(n, edges)`` (and ``from_edges``) checks every edge: it rejects
+    self-loops and ids outside ``0..n-1``, stores each edge once as
+    ``(low, high)`` and builds the sorted adjacency. ``parse_graph``,
+    ``color_class`` and ``induced`` build their graphs from data that is
+    already checked, through ``Graph._checked``, which checks nothing.
+    """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
@@ -65,8 +81,28 @@ class Graph:
                 seen.add(e)
                 adj[u].append(v)
                 adj[v].append(u)
-        object.__setattr__(self, "edges", frozenset(seen))
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        self._fill(n, frozenset(seen), _sorted_rows(adj))
+
+    @classmethod
+    def _checked(
+        cls,
+        vertex_count: int,
+        edges: frozenset[tuple[int, int]],
+        adj: tuple[tuple[int, ...], ...],
+    ) -> Graph:
+        """Graph from fields already in canonical form; nothing is checked.
+
+        ``edges`` holds distinct ``(low, high)`` pairs inside
+        ``0..vertex_count-1`` and ``adj`` their sorted neighbor tuples.
+        """
+        g = object.__new__(cls)
+        g._fill(vertex_count, edges, adj)
+        return g
+
+    def _fill(self, vertex_count, edges, adj) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", adj)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -110,15 +146,14 @@ class Graph:
             )
         index = {orig: j for j, orig in enumerate(ids)}
         adj = self._adj
-        # Each edge is taken once, from its smaller end; ids are sorted, so
-        # the local pair (j, index[w]) is already (low, high).
-        sub = [
-            (j, index[w])
-            for j, u in enumerate(ids)
-            for w in adj[u]
-            if w > u and w in index
-        ]
-        return Graph(len(ids), sub), ids
+        # ids and every adjacency row are sorted and index keeps their
+        # order, so each local row comes out sorted; each edge is taken
+        # once, from its smaller end, already as (low, high).
+        rows = tuple(tuple([index[w] for w in adj[u] if w in index]) for u in ids)
+        sub = frozenset(
+            (j, i) for j, row in enumerate(rows) for i in row if i > j
+        )
+        return Graph._checked(len(ids), sub, rows), ids
 
 
 @dataclass(frozen=True)
@@ -233,15 +268,18 @@ def color_class(g: Graph, coloring: EdgeColoring, color: int) -> Graph:
 
     Reads the coloring's edge list for ``color`` and keeps the edges that
     lie in ``g``: O(V + E_c) for E_c edges of that color, independent of
-    the other colors.
+    the other colors. The kept edges are edges of ``g``, so nothing is
+    checked again.
     """
     if not 1 <= color <= coloring.color_count:
         raise ColorRangeError(f"color {color} outside 1..{coloring.color_count}")
     edges = g.edges
-    return Graph(
-        g.vertex_count,
-        [e for e in coloring._by_color.get(color, ()) if e in edges],
-    )
+    kept = [e for e in coloring._by_color.get(color, ()) if e in edges]
+    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in kept:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph._checked(g.vertex_count, frozenset(kept), _sorted_rows(adj))
 
 
 def per_color(
@@ -256,7 +294,27 @@ def per_color(
     if len(used) == coloring.color_count:
         return used
     edgeless = fn(Graph(g.vertex_count, ()))
-    return {c: used.get(c, edgeless) for c in range(1, coloring.color_count + 1)}
+    out = dict.fromkeys(range(1, coloring.color_count + 1), edgeless)
+    out.update(used)
+    return out
+
+
+def distinct_with_counts(values: Mapping[int, T]) -> list[tuple[T, int]]:
+    """Each distinct object among ``values`` with the number of keys that
+    share it, in first-seen order.
+
+    On a ``per_color`` result this is one entry per used color plus one for
+    all unused colors, so sums and passes weighted by the count cost the
+    used colors, not k.
+    """
+    groups: dict[int, list] = {}
+    for value in values.values():
+        group = groups.get(id(value))
+        if group is None:
+            groups[id(value)] = [value, 1]
+        else:
+            group[1] += 1
+    return [(value, count) for value, count in groups.values()]
 
 
 # -- construction helpers ----------------------------------------------------
@@ -306,39 +364,46 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
 
     Returns the graph together with its coloring; a ``k=1`` coloring stands
     for an uncolored graph. Errors report the offending 1-based line number.
+    Each edge line is checked as it is read and fills the adjacency, so the
+    graph is not checked again.
     """
     vertex_count = None
     color_count = None
     assignment: dict[tuple[int, int], int] = {}
+    adj: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if vertex_count is not None:
                 raise GraphFormatError("duplicate header", lineno)
             if len(parts) != 4 or parts[1] != "cm":
-                raise GraphFormatError(f"bad header {line!r}", lineno)
+                raise GraphFormatError(f"bad header {raw.strip()!r}", lineno)
             try:
                 vertex_count, color_count = int(parts[2]), int(parts[3])
             except ValueError:
-                raise GraphFormatError(f"bad header {line!r}", lineno) from None
+                raise GraphFormatError(
+                    f"bad header {raw.strip()!r}", lineno
+                ) from None
             if vertex_count < 0 or color_count < 1:
                 raise GraphFormatError("header requires N >= 0 and k >= 1", lineno)
             if vertex_count > MAX_VERTICES:
                 raise GraphFormatError(
                     f"header N = {vertex_count} exceeds {MAX_VERTICES}", lineno
                 )
+            adj = [[] for _ in range(vertex_count)]
         elif parts[0] == "e":
             if vertex_count is None or color_count is None:
                 raise GraphFormatError("edge before header", lineno)
             if len(parts) != 4:
-                raise GraphFormatError(f"bad edge line {line!r}", lineno)
+                raise GraphFormatError(f"bad edge line {raw.strip()!r}", lineno)
             try:
                 u, v, color = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
-                raise GraphFormatError(f"bad edge line {line!r}", lineno) from None
+                raise GraphFormatError(
+                    f"bad edge line {raw.strip()!r}", lineno
+                ) from None
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -349,15 +414,17 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
                 raise GraphFormatError(
                     f"color {color} outside 1..{color_count}", lineno
                 )
-            key = _normalize_edge(u, v)
+            key = (u, v) if u < v else (v, u)
             if key in assignment:
                 raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
             assignment[key] = color
+            adj[u].append(v)
+            adj[v].append(u)
         else:
             raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
     if vertex_count is None or color_count is None:
         raise GraphFormatError("missing 'p cm <N> <k>' header", 1)
-    g = Graph(vertex_count, frozenset(assignment))
+    g = Graph._checked(vertex_count, frozenset(assignment), _sorted_rows(adj))
     return g, EdgeColoring(color_count, assignment)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidPartitionError
-from .graphs import EdgeColoring, Graph, components, per_color
+from .graphs import EdgeColoring, Graph, components, distinct_with_counts, per_color
 from .matching import require_no_connected_matching, require_no_monochromatic_cm
 from .partition import SQIPartition, component_partitions, verify_sqi
 
@@ -133,12 +133,13 @@ def _classify(
 ) -> dict[int, VertexClass]:
     in_s = [False] * g.vertex_count
     q_count = [0] * g.vertex_count
-    for parts in partitions.values():
+    # Colors that share one partition tuple (the unused ones) are read once.
+    for parts, count in distinct_with_counts(partitions):
         for p in parts:
             for v in p.S:
                 in_s[v] = True
             for v in p.Q:
-                q_count[v] += 1
+                q_count[v] += count
     k = len(partitions)
     out: dict[int, VertexClass] = {}
     for v in range(g.vertex_count):

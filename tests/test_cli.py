@@ -2,6 +2,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,32 @@ def test_loss_check_sums_one_loss_for_all_unused_colors(tmp_path, capsys, monkey
     assert code == 0
     assert sorted(calls) == [0, 1]
     assert "additivity over colors: HOLDS" in out
+
+
+def test_loss_check_adds_one_term_per_distinct_loss(tmp_path, capsys, monkeypatch):
+    # Each per-color loss is a Fraction that records every arithmetic
+    # operation it takes part in; k = 10^5 colors share two distinct losses.
+    ops = []
+
+    def recorded(name):
+        def op(self, other):
+            ops.append(name)
+            return getattr(Fraction, name)(Fraction(self), other)
+
+        return op
+
+    class RecordedFraction(Fraction):
+        __add__, __radd__ = recorded("__add__"), recorded("__radd__")
+        __mul__, __rmul__ = recorded("__mul__"), recorded("__rmul__")
+
+    real = loss.f_graph
+    monkeypatch.setattr(loss, "f_graph", lambda g, n: RecordedFraction(real(g, n)))
+    path = tmp_path / "wide.g"
+    path.write_text("p cm 5 100000\ne 0 1 3\n")
+    code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
+    assert code == 0
+    assert "additivity over colors: HOLDS" in out
+    assert 1 <= len(ops) <= 4
 
 
 def test_loss_check_with_unused_colors(tmp_path, capsys):
@@ -356,6 +383,42 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--bogus"])
     assert exc.value.code == 1
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--bogus"])
+    assert exc.value.code == 1
+    code, out, _ = run(capsys, ["construct", "affine", "--q", "2"])
+    assert code == 0
+    assert out.startswith("# cmstruct construct affine q=2 k=3\n")
+
+    cliques = ["construct", "cliques", "--n-vertices", "4", "--k", "3",
+               "--max-clique", "2"]
+    code, out, _ = run(capsys, cliques + ["--seed", "5"])
+    assert code == 0
+    assert out.splitlines()[0].endswith(" seed=5")
+    code, out, _ = run(capsys, cliques)
+    assert code == 0
+    assert out.splitlines()[0].endswith(" seed=None")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["construct", "cliques", "--help"], ["audit", "--help"]]
+)
+def test_cached_parser_help_matches_a_fresh_build(capsys, argv):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(argv)
+        assert cached == capsys.readouterr().out != ""
 
 
 def test_missing_file_is_usage_error(capsys):

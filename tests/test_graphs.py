@@ -17,7 +17,7 @@ from cmstruct import (
     to_dot,
 )
 from cmstruct.errors import ColorRangeError, GraphFormatError
-from cmstruct.graphs import MAX_VERTICES, per_color
+from cmstruct.graphs import MAX_VERTICES, distinct_with_counts, per_color
 
 from .generators import random_graph
 
@@ -244,6 +244,99 @@ def test_indexed_subgraphs_match_edge_scan_references():
         assert sub.adjacency == _ref_graph(len(ref_ids), ref_edges)[1]
 
 
+# -- derived graphs against the validating constructor ------------------------
+
+def _assert_matches_validated(derived, vertex_count, edges):
+    """``derived`` equals ``Graph(vertex_count, edges)`` field for field."""
+    validated = Graph(vertex_count, edges)
+    assert derived.vertex_count == validated.vertex_count
+    assert derived.edges == validated.edges
+    # Tuple equality also pins each row's type and order.
+    assert derived.adjacency == validated.adjacency
+    assert derived == validated
+    assert hash(derived) == hash(validated)
+
+
+def _check_derived_graphs(rng, vertex_count, given, colors, k, vertices):
+    """Every graph derived from ``Graph(vertex_count, given)`` matches the
+    validated graph on the same edges; ``colors`` aligns with ``given``."""
+    g = Graph(vertex_count, given)
+    coloring = EdgeColoring(k, dict(zip(given, colors)))
+
+    text = serialize(g, coloring)
+    _assert_matches_validated(parse_graph(text)[0], vertex_count, given)
+    # The same records shuffled, with some edges written high end first.
+    header, *records = text.splitlines()
+    rng.shuffle(records)
+    flipped = []
+    for line in records:
+        _, u, v, c = line.split()
+        flipped.append(f"e {v} {u} {c}" if rng.random() < 0.5 else line)
+    parsed = parse_graph("\n".join([header, *flipped]))[0]
+    _assert_matches_validated(parsed, vertex_count, given)
+
+    for color in range(1, k + 1):
+        _assert_matches_validated(
+            color_class(g, coloring, color),
+            vertex_count,
+            [e for e, c in zip(given, colors) if c == color],
+        )
+
+    sub, ids = g.induced(vertices)
+    ref_edges, ref_ids = _ref_induced(g, vertices)
+    assert ids == ref_ids
+    _assert_matches_validated(sub, len(ids), ref_edges)
+    # Induced subgraphs of derived graphs are derived too.
+    cls = color_class(g, coloring, 1)
+    sub, ids = cls.induced(vertices)
+    _assert_matches_validated(sub, len(ids), _ref_induced(cls, vertices)[0])
+
+
+def test_derived_graphs_match_validated_ones_on_seeded_inputs():
+    rng = random.Random(1307)
+    for _ in range(200):
+        n = rng.randint(0, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = [e for e in pairs if rng.random() < rng.random()]
+        rng.shuffle(chosen)
+        given = [e if rng.random() < 0.5 else e[::-1] for e in chosen]
+        k = rng.randint(1, 4)
+        colors = [rng.randint(1, k) for _ in given]
+        # Unordered vertex ids with repeats.
+        vertices = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))] if n else []
+        _check_derived_graphs(rng, n, given, colors, k, vertices)
+
+
+@st.composite
+def derived_graph_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    given = [e[::-1] if flip else e for e, flip in zip(chosen, flips)]
+    k = draw(st.integers(min_value=1, max_value=3))
+    colors = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=k),
+            min_size=len(given),
+            max_size=len(given),
+        )
+    )
+    vertices = (
+        draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n))
+        if n
+        else []
+    )
+    return n, given, colors, k, vertices
+
+
+@settings(max_examples=80)
+@given(derived_graph_inputs(), st.randoms(use_true_random=False))
+def test_derived_graphs_match_validated_ones(inputs, rnd):
+    n, given, colors, k, vertices = inputs
+    _check_derived_graphs(rnd, n, given, colors, k, vertices)
+
+
 def test_graph_error_messages_name_the_edge_as_given():
     cases = [
         (3, frozenset({(5, 1)}), "edge (5, 1) out of range 0..2"),
@@ -319,3 +412,13 @@ def test_per_color_matches_a_class_per_declared_color():
         fn = _recording([])
         reference = {c: fn(color_class(g, coloring, c)) for c in range(1, k + 1)}
         assert list(per_color(g, coloring, fn).items()) == list(reference.items())
+
+
+def test_distinct_with_counts_weighs_shared_values_by_their_colors():
+    g = Graph(5, frozenset({(0, 1), (2, 3)}))
+    coloring = EdgeColoring(10**5, {(0, 1): 7, (2, 3): 9})
+    result = per_color(g, coloring, _recording([]))
+    groups = distinct_with_counts(result)
+    assert [count for _, count in groups] == [10**5 - 2, 1, 1]
+    assert [value for value, _ in groups] == [result[1], result[7], result[9]]
+    assert distinct_with_counts({}) == []

@@ -243,6 +243,49 @@ def test_unused_colors_share_one_edgeless_partition(monkeypatch):
     assert classes == classify_vertices(g, EdgeColoring(3, {(0, 1): 2}), 4)
 
 
+class _CountedTuple(tuple):
+    """A tuple that records each pass over its items."""
+
+    def __new__(cls, items, passes):
+        self = super().__new__(cls, items)
+        self.passes = passes
+        return self
+
+    def __iter__(self):
+        self.passes.append(len(self))
+        return super().__iter__()
+
+
+def test_classify_reads_shared_partitions_once(monkeypatch):
+    from cmstruct import loss as loss_module
+
+    passes = []
+    real = loss_module.per_color
+
+    def counted(g, coloring, fn):
+        wrapped = {}
+        out = {}
+        for color, parts in real(g, coloring, fn).items():
+            if id(parts) not in wrapped:
+                wrapped[id(parts)] = _CountedTuple(parts, passes)
+            out[color] = wrapped[id(parts)]
+        return out
+
+    monkeypatch.setattr(loss_module, "per_color", counted)
+    g = Graph.from_edges(5, [(0, 1)])
+    coloring = EdgeColoring(10**5, {(0, 1): 4})
+    classes = classify_vertices(g, coloring, 4)
+    # One pass over color 4's partitions and one over the shared ones.
+    assert len(passes) == 2
+    # Q-saturated means in Q for all 10^5 colors: the shared pass counts
+    # once per color that shares it.
+    assert classes == {v: VertexClass.Q_SATURATED for v in range(5)}
+    passes.clear()
+    holds, ledger = check_F_inequality(g, coloring, 4)
+    assert holds and len(passes) == 2
+    assert ledger.classes == {v: "q-saturated" for v in range(5)}
+
+
 def test_shared_edgeless_partitions_give_the_unshared_ledger(monkeypatch):
     # k = 4 with colors 2 and 4 unused.
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
