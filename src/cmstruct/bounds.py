@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .graphs import EdgeColoring, Graph, components, per_color
+from .graphs import EdgeColoring, Graph, components, induced_coloring, per_color
 from .loss import VertexClass, classify_vertices
 from .matching import require_no_connected_matching
 
@@ -180,17 +180,6 @@ class AuditReport:
         return tuple(out)
 
 
-def _induced_coloring(
-    g: Graph, coloring: EdgeColoring, vertices: list[int]
-) -> tuple[Graph, EdgeColoring]:
-    """Subgraph induced on ``vertices``, relabeled, with its coloring."""
-    sub, ids = g.induced(vertices)
-    return sub, EdgeColoring(
-        coloring.color_count,
-        {e: coloring.color_of(ids[e[0]], ids[e[1]]) for e in sub.edges},
-    )
-
-
 def audit_coloring(
     params: AuditParams, g: Graph, coloring: EdgeColoring
 ) -> AuditReport:
@@ -224,7 +213,7 @@ def audit_coloring(
     qsat_survivors = [v for v in survivors if classes[v] is VertexClass.Q_SATURATED]
     max_comp = 0
     if qsat_survivors:
-        sub, sub_coloring = _induced_coloring(g, coloring, qsat_survivors)
+        sub, sub_coloring = induced_coloring(g, coloring, qsat_survivors)
         max_comp = _largest_mono_component(sub, sub_coloring)
 
     # Small-components step: trim survivors to exactly (k - 1/2) n vertices
@@ -233,7 +222,7 @@ def audit_coloring(
     sc_ok = True
     if residual_ok and residual_required.denominator == 1:
         trimmed = survivors[: int(residual_required)]
-        sub, sub_coloring = _induced_coloring(g, coloring, trimmed)
+        sub, sub_coloring = induced_coloring(g, coloring, trimmed)
         sc_applicable, sc_ok, _ = small_components_bound(sub, sub_coloring, n)
 
     qsat_loss = {

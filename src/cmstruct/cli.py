@@ -31,6 +31,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``; a zero denominator is a usage error like any
+    other bad value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _fmt(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -364,8 +373,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("audit", help="dense-coloring counting-chain audit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", type=Fraction, required=True)
-    p.add_argument("--delta", type=Fraction, required=True)
+    p.add_argument("--epsilon", type=_fraction, required=True)
+    p.add_argument("--delta", type=_fraction, required=True)
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_audit)
 

@@ -6,15 +6,15 @@ precomputed at construction and all operations are pure, so values can be
 shared freely across threads.
 
 Subgraphs cost time proportional to their own size, not to the host's.
-The public constructor ``Graph(n, edges)`` checks, normalizes and
-deduplicates every edge in one pass. Graphs derived from checked data skip
-that pass: ``parse_graph`` checks each edge line as it reads it,
-``color_class`` keeps edges of a checked graph, and ``Graph.induced``
-relabels a checked adjacency, so all three fill the fields through the
-private ``Graph._checked``. An ``EdgeColoring`` indexes its edges by color
-at construction, so ``color_class`` reads only the edges of its color,
-O(E_c), and ``Graph.induced`` walks only the adjacency of the chosen
-vertices.
+The public ``Graph(n, edges)`` and ``EdgeColoring(k, assignment)`` check
+and normalize all they are given. Values derived from checked data skip
+that: ``parse_graph`` checks each line as it reads it, ``color_class``
+keeps edges of a checked graph, ``Graph.induced`` relabels a checked
+adjacency and ``induced_coloring`` copies checked colors, so all four set
+their fields through the private ``_build``, which checks nothing. Every
+coloring indexes its edges by color (``_index``), so ``color_class`` reads
+only the edges of its color, O(E_c), and ``Graph.induced`` walks only the
+adjacency of the chosen vertices.
 """
 
 from __future__ import annotations
@@ -26,8 +26,20 @@ from .errors import ColorRangeError, GraphFormatError
 
 # Largest vertex count parse_graph accepts; Graph builds one list per vertex.
 MAX_VERTICES = 10**6
+# Largest color count parse_graph accepts; every analysis keeps one entry
+# per color.
+MAX_COLORS = 10**6
 
 T = TypeVar("T")
+
+
+def _build(cls: type[T], **fields) -> T:
+    """``cls`` with ``fields`` set as given, in the form its checking
+    constructor would store them; nothing is checked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -44,9 +56,8 @@ class Graph:
 
     ``Graph(n, edges)`` (and ``from_edges``) checks every edge: it rejects
     self-loops and ids outside ``0..n-1``, stores each edge once as
-    ``(low, high)`` and builds the sorted adjacency. ``parse_graph``,
-    ``color_class`` and ``induced`` build their graphs from data that is
-    already checked, through ``Graph._checked``, which checks nothing.
+    ``(low, high)`` and builds the sorted adjacency. Graphs derived from
+    checked data are built through ``_build`` and not checked again.
     """
 
     vertex_count: int
@@ -81,28 +92,8 @@ class Graph:
                 seen.add(e)
                 adj[u].append(v)
                 adj[v].append(u)
-        self._fill(n, frozenset(seen), _sorted_rows(adj))
-
-    @classmethod
-    def _checked(
-        cls,
-        vertex_count: int,
-        edges: frozenset[tuple[int, int]],
-        adj: tuple[tuple[int, ...], ...],
-    ) -> Graph:
-        """Graph from fields already in canonical form; nothing is checked.
-
-        ``edges`` holds distinct ``(low, high)`` pairs inside
-        ``0..vertex_count-1`` and ``adj`` their sorted neighbor tuples.
-        """
-        g = object.__new__(cls)
-        g._fill(vertex_count, edges, adj)
-        return g
-
-    def _fill(self, vertex_count, edges, adj) -> None:
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "edges", frozenset(seen))
+        object.__setattr__(self, "_adj", _sorted_rows(adj))
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -153,15 +144,18 @@ class Graph:
         sub = frozenset(
             (j, i) for j, row in enumerate(rows) for i in row if i > j
         )
-        return Graph._checked(len(ids), sub, rows), ids
+        return _build(Graph, vertex_count=len(ids), edges=sub, _adj=rows), ids
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
     """Total assignment of colors ``1..color_count`` to a graph's edges.
 
-    Construction also indexes the edges by color, so a color's edge list
-    costs nothing to look up.
+    ``EdgeColoring(k, assignment)`` checks every color against ``1..k`` and
+    stores each edge as ``(low, high)``; ``parse_graph`` and
+    ``induced_coloring`` build through ``_build`` and check nothing. Either
+    way the edges are indexed by color, so a color's edge list costs
+    nothing to look up.
     """
 
     color_count: int
@@ -188,16 +182,7 @@ class EdgeColoring:
         object.__setattr__(self, "assignment", normalized)
         # Built from the normalized map, so an edge given in both
         # orientations is listed once, under the color it kept.
-        by_color: dict[int, list[tuple[int, int]]] = {}
-        for e, color in normalized.items():
-            edges = by_color.get(color)
-            if edges is None:
-                by_color[color] = [e]
-            else:
-                edges.append(e)
-        object.__setattr__(
-            self, "_by_color", {c: by_color[c] for c in sorted(by_color)}
-        )
+        object.__setattr__(self, "_by_color", _index(normalized))
 
     def color_of(self, u: int, v: int) -> int:
         return self.assignment[_normalize_edge(u, v)]
@@ -218,6 +203,19 @@ class EdgeColoring:
                 f"coloring does not match edge set (missing {sorted(missing)[:3]}, "
                 f"extra {sorted(extra)[:3]})"
             )
+
+
+def _index(assignment) -> dict[int, list[tuple[int, int]]]:
+    """Edges of a normalized assignment by color: colors ascending, each
+    list in the assignment's order."""
+    by_color: dict[int, list[tuple[int, int]]] = {}
+    for e, color in assignment.items():
+        edges = by_color.get(color)
+        if edges is None:
+            by_color[color] = [e]
+        else:
+            edges.append(e)
+    return {c: by_color[c] for c in sorted(by_color)}
 
 
 @dataclass(frozen=True)
@@ -279,7 +277,20 @@ def color_class(g: Graph, coloring: EdgeColoring, color: int) -> Graph:
     for u, v in kept:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph._checked(g.vertex_count, frozenset(kept), _sorted_rows(adj))
+    return _build(Graph, vertex_count=g.vertex_count, edges=frozenset(kept),
+                  _adj=_sorted_rows(adj))
+
+
+def induced_coloring(
+    g: Graph, coloring: EdgeColoring, vertices: Iterable[int]
+) -> tuple[Graph, EdgeColoring]:
+    """``g.induced(vertices)``'s subgraph with the colors ``coloring`` gives
+    its edges; they come from a checked coloring and are not checked again."""
+    sub, ids = g.induced(vertices)
+    # ids is sorted, so (ids[a], ids[b]) is normalized for every a < b.
+    colors = {e: coloring.assignment[ids[e[0]], ids[e[1]]] for e in sub.edges}
+    return sub, _build(EdgeColoring, color_count=coloring.color_count,
+                       assignment=colors, _by_color=_index(colors))
 
 
 def per_color(
@@ -364,8 +375,8 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
 
     Returns the graph together with its coloring; a ``k=1`` coloring stands
     for an uncolored graph. Errors report the offending 1-based line number.
-    Each edge line is checked as it is read and fills the adjacency, so the
-    graph is not checked again.
+    Each edge line is checked as it is read and fills the adjacency and the
+    assignment, so neither the graph nor the coloring is checked again.
     """
     vertex_count = None
     color_count = None
@@ -391,6 +402,10 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
             if vertex_count > MAX_VERTICES:
                 raise GraphFormatError(
                     f"header N = {vertex_count} exceeds {MAX_VERTICES}", lineno
+                )
+            if color_count > MAX_COLORS:
+                raise GraphFormatError(
+                    f"header k = {color_count} exceeds {MAX_COLORS}", lineno
                 )
             adj = [[] for _ in range(vertex_count)]
         elif parts[0] == "e":
@@ -424,8 +439,10 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
             raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
     if vertex_count is None or color_count is None:
         raise GraphFormatError("missing 'p cm <N> <k>' header", 1)
-    g = Graph._checked(vertex_count, frozenset(assignment), _sorted_rows(adj))
-    return g, EdgeColoring(color_count, assignment)
+    g = _build(Graph, vertex_count=vertex_count, edges=frozenset(assignment),
+               _adj=_sorted_rows(adj))
+    return g, _build(EdgeColoring, color_count=color_count, assignment=assignment,
+                     _by_color=_index(assignment))
 
 
 def serialize(g: Graph, coloring: EdgeColoring | None = None) -> str:

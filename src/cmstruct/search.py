@@ -65,8 +65,7 @@ from multiprocessing import Pipe, Process, parent_process
 from multiprocessing.connection import wait
 from threading import Thread
 
-from .bounds import _induced_coloring
-from .graphs import EdgeColoring, complete_graph
+from .graphs import EdgeColoring, complete_graph, induced_coloring
 # max_connected_matching is unused here but kept as a public and traced name.
 from .matching import (  # noqa: F401
     _Forest,
@@ -529,7 +528,7 @@ def ramsey_cm(
             return RamseyResult(color_count, n, "exact", size, size, avoider, total)
         if result.status != FOUND:
             break
-        sub, shrunk = _induced_coloring(
+        sub, shrunk = induced_coloring(
             complete_graph(size), result.coloring, range(size - 1)
         )
         assert find_mono_cm(sub, shrunk, n) is None, (

@@ -26,8 +26,7 @@ from cmstruct.errors import (
     HasMonochromaticMatchingError,
     OddNError,
 )
-from cmstruct.bounds import _induced_coloring
-from cmstruct.graphs import Graph, color_class, components
+from cmstruct.graphs import Graph, color_class, components, induced_coloring
 
 from .generators import avoiding_graph
 
@@ -137,7 +136,7 @@ def test_small_components_applicability_matches_per_color_loop():
     # The audit's trimmed survivors: the first (k - 1/2) n vertices of a
     # larger coloring, with its color count.
     g17, c17 = bounded_component_coloring(17, 4, 4, seed=5)
-    cases += [(*_induced_coloring(g17, c17, list(range(14))), 4)]
+    cases += [(*induced_coloring(g17, c17, list(range(14))), 4)]
     seen = set()
     for g, coloring, n in cases:
         applicable = small_components_bound(g, coloring, n)[0]

@@ -18,7 +18,7 @@ from cmstruct import (
 )
 from cmstruct import cli, loss, partition
 from cmstruct.cli import main
-from cmstruct.graphs import MAX_VERTICES
+from cmstruct.graphs import MAX_COLORS, MAX_VERTICES
 
 
 def write_graph(path, g, coloring=None):
@@ -444,6 +444,24 @@ def test_oversized_header_is_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--delta"])
+@pytest.mark.parametrize("value", ["1/0", "0/0", "abc"])
+def test_audit_bad_fraction_is_usage_error(tmp_path, capsys, flag, value):
+    path = write_graph(tmp_path / "k3.g", complete_graph(3))
+    argv = ["audit", "--n", "4", "--k", "1", "--epsilon", "1/2",
+            "--delta", "1/500", "--input", path]
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: cmstruct audit")
+    assert out.err.splitlines()[-1] == (
+        f"cmstruct audit: error: argument {flag}: invalid Fraction value: {value!r}"
+    )
+
+
 def test_output_is_stable(tmp_path, capsys):
     path = write_graph(tmp_path / "star4.g", star_graph(3))
     argv = ["decompose", "--n", "4", "--input", path]
@@ -494,6 +512,29 @@ def test_oversized_input_fails_fast_within_one_gib(argv, code):
         assert "budget exhausted" in child.stdout
 
 
+@pytest.mark.parametrize("command", ["loss-check", "classify"])
+def test_oversized_color_count_fails_fast_within_one_gib(tmp_path, command):
+    # Every analysis keeps one entry per declared color, so without the
+    # header cap this file would need far more than the child's 1 GiB.
+    pytest.importorskip("resource")
+    k = 10**8
+    path = tmp_path / "colors.g"
+    path.write_text(f"p cm 5 {k}\ne 0 1 1\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "cmstruct.cli", command, "--n", "4",
+         "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr == f"cmstruct: line 1: header k = {k} exceeds {MAX_COLORS}\n"
+
+
 def test_readme_command_line_examples_parse():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text().split("## Command line", 1)[1]
@@ -507,3 +548,11 @@ def test_readme_command_line_examples_parse():
     parser = cli._build_parser()
     for argv in examples:
         parser.parse_args(argv)
+
+
+def test_readme_library_snippet_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Library in one minute", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import" in snippet
+    exec(compile(snippet, "README.md", "exec"), {})

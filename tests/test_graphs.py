@@ -17,7 +17,13 @@ from cmstruct import (
     to_dot,
 )
 from cmstruct.errors import ColorRangeError, GraphFormatError
-from cmstruct.graphs import MAX_VERTICES, distinct_with_counts, per_color
+from cmstruct.graphs import (
+    MAX_COLORS,
+    MAX_VERTICES,
+    distinct_with_counts,
+    induced_coloring,
+    per_color,
+)
 
 from .generators import random_graph
 
@@ -335,6 +341,88 @@ def derived_graph_inputs(draw):
 def test_derived_graphs_match_validated_ones(inputs, rnd):
     n, given, colors, k, vertices = inputs
     _check_derived_graphs(rnd, n, given, colors, k, vertices)
+
+
+# -- derived colorings against the validating constructor ---------------------
+
+def _assert_coloring_matches_validated(g, derived, k, records):
+    """``derived`` answers every query as ``EdgeColoring(k, records)`` does,
+    and both match references read off ``records`` alone."""
+    validated = EdgeColoring(k, records)
+    normalized = {(min(e), max(e)): c for e, c in records.items()}
+    assert derived == validated
+    assert derived.assignment == normalized
+    assert derived.colors_used() == validated.colors_used()
+    assert derived.colors_used() == tuple(sorted(set(normalized.values())))
+    for color in range(1, k + 1):
+        listed = sorted(e for e, c in normalized.items() if c == color)
+        assert derived.edges_of_color(color) == validated.edges_of_color(color)
+        assert derived.edges_of_color(color) == listed
+        cls = color_class(g, derived, color)
+        assert cls == color_class(g, validated, color)
+        _assert_matches_validated(cls, g.vertex_count, listed)
+
+
+def test_derived_colorings_match_validated_ones_on_seeded_inputs():
+    rng = random.Random(1409)
+    for _ in range(200):
+        n = rng.randint(0, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = [e for e in pairs if rng.random() < rng.random()]
+        k = rng.randint(1, 6)
+        # Colors drawn from a random subset, so some colors go unused.
+        palette = rng.sample(range(1, k + 1), rng.randint(1, k))
+        coloring = EdgeColoring(k, {e: rng.choice(palette) for e in chosen})
+        g = Graph(n, chosen)
+        text = serialize(g, coloring)
+        # The same records shuffled, with some edges written high end first.
+        header, *lines = text.splitlines()
+        records = {}
+        for line in lines:
+            _, u, v, c = line.split()
+            key = (int(v), int(u)) if rng.random() < 0.5 else (int(u), int(v))
+            records[key] = int(c)
+        shuffled = list(records.items())
+        rng.shuffle(shuffled)
+        shuffled_text = "\n".join(
+            [header, *(f"e {u} {v} {c}" for (u, v), c in shuffled)]
+        )
+        for source in (text, shuffled_text):
+            parsed_graph, parsed = parse_graph(source)
+            assert parsed_graph == g
+            _assert_coloring_matches_validated(g, parsed, k, records)
+
+        # Unordered vertex ids with repeats.
+        vertices = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))] if n else []
+        sub, sub_coloring = induced_coloring(g, parsed, vertices)
+        ref_edges, ids = _ref_induced(g, vertices)
+        _assert_matches_validated(sub, len(ids), ref_edges)
+        inherited = {e: coloring.color_of(ids[e[0]], ids[e[1]]) for e in ref_edges}
+        _assert_coloring_matches_validated(sub, sub_coloring, k, inherited)
+
+
+def test_parsed_and_induced_colorings_are_not_checked_again(monkeypatch):
+    calls = []
+    for cls in (Graph, EdgeColoring):
+        def counting(self, original=cls.__post_init__):
+            calls.append(type(self))
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    g, coloring = parse_graph("p cm 5 3\ne 0 1 2\ne 3 2 1\ne 4 1 2\n")
+    sub, sub_coloring = induced_coloring(g, coloring, [4, 1, 0])
+    assert calls == []
+    assert sub_coloring == EdgeColoring(3, {(0, 1): 2, (1, 2): 2})
+    assert calls == [EdgeColoring]  # the counting check is live
+
+
+def test_header_color_count_is_capped_with_its_line_number():
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(f"# comment\np cm 5 {MAX_COLORS + 1}\ne 0 1 1\n")
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: header k = {MAX_COLORS + 1} exceeds {MAX_COLORS}"
+    g, coloring = parse_graph(f"p cm 5 {MAX_COLORS}\ne 0 1 {MAX_COLORS}\n")
+    assert coloring.colors_used() == (MAX_COLORS,)
 
 
 def test_graph_error_messages_name_the_edge_as_given():
