@@ -52,6 +52,30 @@ node leaves no trace and needs no undo.
 The components are kept as per-vertex root labels with member lists, so a
 lookup is one read; a merge relabels the smaller list, and its removal
 relabels it back.
+
+With three or more colors the same class state comes back under many
+prefixes, so one search keeps a memo of matching numbers, shared by its
+color classes. Each class keeps its edge set as a bit mask over edge
+indices. The nu of uv's component is a function of the class's edges and
+uv alone, whatever their color. The walk adds edges in index order, so uv
+is the highest edge of ``mask | 1 << index(uv)``, and that key fixes both;
+an edge added out of order skips the memo. The memo maps a key to nu
+capped at n/2 and is read only at a prune trigger:
+
+- A known nu >= n/2 prunes before anything is written.
+- A known nu equal to the stored size (after the exposed-pair match) says
+  the stored matching is maximum. The edge commits with bound = size and
+  no search: exactly the state a failed search leaves, as a failed search
+  flips nothing.
+- Otherwise the searches run as without the memo, and a key not yet known
+  gets their outcome.
+
+So verdicts, node counts and avoiders are those of the search without the
+memo. With at most two colors, edge 0 has color 1 and every other edge
+below uv lies in the other class, so a key fixes the whole prefix and no
+key repeats within one search: no memo is kept. ``MEMO_BYTES`` bounds the
+memo's memory, per search and so per worker process; once it is full,
+nothing more is recorded.
 """
 
 from __future__ import annotations
@@ -81,6 +105,11 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 # The search lays out every edge of K_N before its first node: about 3 MB
 # at this cap, which lies far beyond any exhaustive search.
 MAX_VERTICES = 256
+
+# Bytes that one search's matching-number memo may hold. A key is a class's
+# edge set as an int of E bits, E the edge count (4 bytes per 30 bits),
+# and a dict entry with its int header takes about 80 bytes more.
+MEMO_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -145,9 +174,11 @@ class _ColorMatching:
     ``matched[r]`` and ``bound[r]`` belong to the component labelled ``r``:
     its vertices, the number of edges of the stored matching inside it, and
     an upper bound on its matching number. A merge relabels the smaller
-    member list, and its removal relabels it back. ``forest`` holds the
-    arrays of the blossom search, which every color class of one search
-    shares.
+    member list, and its removal relabels it back. ``mask`` is the class's
+    edge set, bit i for the edge of index i. ``forest`` holds the arrays of
+    the blossom search, and ``memo`` the matching numbers by class edge set
+    with uv (None for no memo) with room for ``memo_cap`` entries; every
+    color class of one search shares both.
 
     ``add`` decides before it commits: a pruned edge leaves every field as
     it found it, and a viable one pushes exactly one trail entry, which
@@ -155,9 +186,11 @@ class _ColorMatching:
     """
 
     __slots__ = ("root", "members", "adj", "mate", "matched", "bound",
-                 "target", "trail", "flips", "forest")
+                 "target", "mask", "trail", "flips", "forest", "memo",
+                 "memo_cap")
 
-    def __init__(self, n_vertices: int, target: int, forest: _Forest):
+    def __init__(self, n_vertices: int, target: int, forest: _Forest,
+                 memo: dict[int, int] | None = None, memo_cap: int = 0):
         self.root = list(range(n_vertices))
         self.members = [[v] for v in range(n_vertices)]
         self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
@@ -165,14 +198,19 @@ class _ColorMatching:
         self.matched = [0] * n_vertices
         self.bound = [0] * n_vertices
         self.target = target
-        # Per add: root, absorbed root or -1, old matched/bound, flips mark.
-        self.trail: list[tuple[int, int, int, int, int]] = []
+        self.mask = 0
+        # Per add: root, absorbed root or -1, old matched/bound, flips mark,
+        # old mask.
+        self.trail: list[tuple[int, int, int, int, int, int]] = []
         self.flips: list[tuple[int, int]] = []
         self.forest = forest
+        self.memo = memo
+        self.memo_cap = memo_cap
 
-    def add(self, u: int, v: int) -> bool:
-        """Add edge uv and return True if its component's matching number
-        stays below ``target``; otherwise return False and add nothing."""
+    def add(self, u: int, v: int, idx: int) -> bool:
+        """Add edge uv, whose edge index is ``idx``, and return True if its
+        component's matching number stays below ``target``; otherwise
+        return False and add nothing."""
         mate, matched, target = self.mate, self.matched, self.target
         ra, rb = self.root[u], self.root[v]
         size = matched[ra] if ra == rb else matched[ra] + matched[rb]
@@ -193,6 +231,18 @@ class _ColorMatching:
         tight = cap == size + 1
         if cap > order // 2:
             cap = order // 2
+        if cap >= target:
+            key = 0  # where the searches' outcome is to be recorded, or 0
+            known = -1  # the memo's nu of uv's component, or -1
+            memo = self.memo
+            if memo is not None and 1 << idx > self.mask:
+                # uv is the highest edge of the key, which so fixes it.
+                key = self.mask | 1 << idx
+                known = memo.get(key, -1)
+                if known >= target:
+                    return False
+                if known >= 0:
+                    key = 0
         adj, flips = self.adj, self.flips
         mark = len(flips)
         adj[u].append(v)
@@ -204,32 +254,40 @@ class _ColorMatching:
             mate[v] = u
             size += 1
         if cap >= target:
-            # After a tight edge every augmenting path uses uv, and an
-            # exposed end of uv is an end of each: one search decides.
-            if tight and mate[u] == -1:
-                roots = [u]
-            elif tight and mate[v] == -1:
-                roots = [v]
-            else:
-                roots = self._exposed(ra, rb)
-            augment = self.forest.augment
-            # Each success adds one matched edge; the search that would
-            # meet the target only has to find its path, not flip it.
-            while augment(adj, mate, roots, flips, size + 1 < target):
-                if size + 1 >= target:
+            # A known matching number equal to the size is what a failed
+            # search would prove: the stored matching is maximum.
+            if known != size:
+                # After a tight edge every augmenting path uses uv, and an
+                # exposed end of uv is an end of each: one search decides.
+                if tight and mate[u] == -1:
+                    roots = [u]
+                elif tight and mate[v] == -1:
+                    roots = [v]
+                else:
+                    roots = self._exposed(ra, rb)
+                augment = self.forest.augment
+                # Each success adds one matched edge; the search that would
+                # meet the target only has to find its path, not flip it.
+                while augment(adj, mate, roots, flips, size + 1 < target):
+                    size += 1
+                    if size >= target:
+                        break
+                    roots = self._exposed(ra, rb)
+                if key and len(memo) < self.memo_cap:
+                    memo[key] = size
+                if size >= target:
                     adj[u].pop()
                     adj[v].pop()
                     self._rewind(mark)
                     return False
-                size += 1
-                roots = self._exposed(ra, rb)
             cap = size
         if rb >= 0:
             root = self.root
             for w in members[rb]:
                 root[w] = ra
             members[ra].extend(members[rb])
-        self.trail.append((ra, rb, matched[ra], bound[ra], mark))
+        self.trail.append((ra, rb, matched[ra], bound[ra], mark, self.mask))
+        self.mask |= 1 << idx
         matched[ra] = size
         bound[ra] = cap
         return True
@@ -249,7 +307,7 @@ class _ColorMatching:
 
     def remove(self, u: int, v: int) -> None:
         """Undo the latest committed ``add``, which must have been of edge uv."""
-        ra, rb, size, cap, mark = self.trail.pop()
+        ra, rb, size, cap, mark, self.mask = self.trail.pop()
         self._rewind(mark)
         self.matched[ra] = size
         self.bound[ra] = cap
@@ -274,6 +332,9 @@ class _Searcher:
         ]
         self.color_of = [0] * len(self.edge_list)
         self.forest = _Forest(n_vertices)
+        # With at most two colors no memo key repeats within one search.
+        self.memo: dict[int, int] | None = {} if cfg.color_count >= 3 else None
+        self.memo_cap = MEMO_BYTES // (80 + len(self.edge_list) // 7)
         # The ``add`` and ``remove`` of each color's class, by color; a
         # class is built when its color is first offered.
         self.adds: list = [None]
@@ -285,7 +346,8 @@ class _Searcher:
     def _offer(self, colors: range) -> range:
         """Build the color classes up to the largest of ``colors``."""
         while len(self.adds) < colors.stop:
-            cls = _ColorMatching(self.cfg.vertex_count, self.cfg.n // 2, self.forest)
+            cls = _ColorMatching(self.cfg.vertex_count, self.cfg.n // 2,
+                                 self.forest, self.memo, self.memo_cap)
             self.adds.append(cls.add)
             self.removes.append(cls.remove)
         return colors
@@ -331,7 +393,7 @@ class _Searcher:
                     self.exhausted = True
                     return
                 nodes += 1
-                if not adds[color](tails[idx], heads[idx]):
+                if not adds[color](tails[idx], heads[idx], idx):
                     continue  # pruned: nothing was applied
                 color_of[idx] = color
                 if idx + 1 < end:
@@ -352,7 +414,7 @@ class _Searcher:
         max_used = 0
         for idx, color in enumerate(self.prefix):
             self._offer(self._choices(idx, max_used))
-            if not self.adds[color](*self.edge_list[idx]):
+            if not self.adds[color](*self.edge_list[idx], idx):
                 return SearchResult(CERTIFIED_NONE, None, 0)
             self.color_of[idx] = color
             max_used = max(max_used, color)

@@ -131,11 +131,23 @@ def test_search_small_instances():
     assert none.status == CERTIFIED_NONE
 
 
-def test_search_finds_affine_type_avoider():
-    result = search_avoider(SearchConfig(9, 4, 4, node_budget=10**7))
+def test_search_finds_affine_type_avoider(monkeypatch):
+    searches = []
+    real_augment = search_module._Forest.augment
+
+    def counting_augment(forest, *args):
+        searches.append(None)
+        return real_augment(forest, *args)
+
+    monkeypatch.setattr(search_module._Forest, "augment", counting_augment)
+    searcher = search_module._Searcher(SearchConfig(9, 4, 4, node_budget=10**7))
+    result = searcher.run()
     assert result.status == FOUND
     assert result.nodes == 782_094
     assert find_mono_cm(complete_graph(9), result.coloring, 4) is None
+    # Every blossom search decides a key that the memo has not seen, once:
+    # 5,710 searches where the memo-less search runs 231,414.
+    assert len(searches) <= len(searcher.memo) == 5_710
 
 
 def test_budget_exhaustion_is_distinct():
@@ -383,6 +395,7 @@ def _kernel_state(classes):
             [list(a) for a in cls.adj],
             list(cls.root),
             [list(m) for m in cls.members],
+            cls.mask,
             list(cls.trail),
             list(cls.flips),
         )
@@ -418,95 +431,134 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     forest, as in a search: every verdict must match a matching computed
     from scratch, every prune trigger must run the blossom searches its
     shape calls for, a pruned edge must leave no trace, and a full unwind
-    must restore the initial state."""
-    searches = []  # (roots, found, flip, entries logged) of each search
+    must restore the initial state.
+
+    A twin set of classes that shares one matching-number memo takes the
+    same walk: after every add and remove its verdict and state must equal
+    those of the memo-less set."""
+    searches = []  # (forest, roots, found, flip, entries logged) per search
     real_augment = search_module._Forest.augment
 
     def recording_augment(forest, adj, mate, roots, log=None, flip=True):
         logged = len(log or ())
         found = real_augment(forest, adj, mate, roots, log, flip)
-        searches.append((list(roots), found, flip, len(log or ()) - logged))
+        searches.append(
+            (forest, list(roots), found, flip, len(log or ()) - logged)
+        )
         return found
 
     monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
     hits = collections.Counter()
+    memo_hits = collections.Counter()
     rng = random.Random(size)
     edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
 
-    def pop(stack, classes, color_of):
+    def pop(stack, twins, color_of):
         idx = stack.pop()
-        classes[color_of[idx]].remove(*edges[idx])
+        for classes in twins:
+            classes[color_of[idx]].remove(*edges[idx])
         color_of[idx] = 0
+        assert _kernel_state(twins[1]) == _kernel_state(twins[0])
 
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for n in (4, 6, 8):
             forest = search_module._Forest(size)
             classes = [None] + [
                 search_module._ColorMatching(size, n // 2, forest)
                 for _ in range(k)
             ]
+            memo_forest = search_module._Forest(size)
+            memo: dict[int, int] = {}
+            memo_classes = [None] + [
+                search_module._ColorMatching(
+                    size, n // 2, memo_forest, memo, len(edges) ** 2
+                )
+                for _ in range(k)
+            ]
+            twins = (classes, memo_classes)
             color_of = [0] * len(edges)
             initial = _kernel_state(classes)
+            assert _kernel_state(memo_classes) == initial
             stack: list[int] = []
             for _ in range(150):
                 free = [i for i in range(len(edges)) if color_of[i] == 0]
                 if stack and (not free or rng.random() < 0.3):
-                    pop(stack, classes, color_of)
+                    pop(stack, twins, color_of)
                     continue
                 idx = rng.choice(free)
                 color = rng.randint(1, k)
-                shape, ends, exposed, matched = _expected_trigger(
-                    classes[color], *edges[idx]
-                )
-                searches.clear()
-                before = _kernel_state(classes)
-                viable = classes[color].add(*edges[idx])
-                kernel_searches = list(searches)
-                cls = Graph.from_edges(
-                    size,
-                    [edges[i] for i in stack if color_of[i] == color]
-                    + [edges[idx]],
-                )
-                assert viable == (max_connected_matching(cls)[0] < n // 2)
-                if size <= 7:
-                    assert viable == (brute_max_connected_matching(cls) < n // 2)
-                if kernel_searches:
-                    hits[shape] += 1
-                    roots = kernel_searches[0][0]
-                    if shape == "non-tight":
-                        # Searches go on until one fails or the target is met.
-                        assert len(kernel_searches) <= n // 2 - matched + 1
-                        assert set(roots) == exposed
-                        assert all(found for _, found, _, _ in kernel_searches[:-1])
-                        last_found = kernel_searches[-1][1]
-                        assert not last_found or matched + len(kernel_searches) == n // 2
+                # Each edge is offered twice to the same class state, as the
+                # search offers it again under another prefix: a committed
+                # edge is taken back in between.
+                for attempt in range(2):
+                    shape, ends, exposed, matched = _expected_trigger(
+                        classes[color], *edges[idx]
+                    )
+                    searches.clear()
+                    before = _kernel_state(classes)
+                    viable = classes[color].add(*edges[idx], idx)
+                    kernel_searches = [search[1:] for search in searches]
+                    searches.clear()
+                    assert memo_classes[color].add(*edges[idx], idx) == viable
+                    assert _kernel_state(memo_classes) == _kernel_state(classes)
+                    memo_searches = [search[1:] for search in searches]
+                    assert all(search[0] is memo_forest for search in searches)
+                    if memo_searches:
+                        # A miss, or a known number above the stored size: the
+                        # same searches run.
+                        assert memo_searches == kernel_searches
+                    elif kernel_searches:
+                        memo_hits["commit" if viable else "prune"] += 1
+                    cls = Graph.from_edges(
+                        size,
+                        [edges[i] for i in stack if color_of[i] == color]
+                        + [edges[idx]],
+                    )
+                    assert viable == (max_connected_matching(cls)[0] < n // 2)
+                    if size <= 7:
+                        assert viable == (brute_max_connected_matching(cls) < n // 2)
+                    if kernel_searches:
+                        hits[shape] += 1
+                        roots = kernel_searches[0][0]
+                        if shape == "non-tight":
+                            # Searches go on until one fails or the target is met.
+                            assert len(kernel_searches) <= n // 2 - matched + 1
+                            assert set(roots) == exposed
+                            assert all(found for _, found, _, _ in kernel_searches[:-1])
+                            last_found = kernel_searches[-1][1]
+                            assert not last_found or matched + len(kernel_searches) == n // 2
+                        else:
+                            # Every augmenting path uses uv: one search decides,
+                            # from the exposed end if there is one.
+                            assert len(kernel_searches) == 1
+                            assert sorted(roots) == sorted(ends or exposed)
+                        # Every search but the last flips and logs its path.
+                        assert all(flip and logged > 0
+                                   for _, _, flip, logged in kernel_searches[:-1])
+                        if not viable:
+                            # The deciding search finds its path but neither
+                            # flips nor logs it.
+                            _, found, flip, logged = kernel_searches[-1]
+                            assert found and not flip and logged == 0
+                    if viable:
+                        color_of[idx] = color
+                        stack.append(idx)
+                        if attempt == 0:
+                            pop(stack, twins, color_of)
                     else:
-                        # Every augmenting path uses uv: one search decides,
-                        # from the exposed end if there is one.
-                        assert len(kernel_searches) == 1
-                        assert sorted(roots) == sorted(ends or exposed)
-                    # Every search but the last flips and logs its path.
-                    assert all(flip and logged > 0
-                               for _, _, flip, logged in kernel_searches[:-1])
-                    if not viable:
-                        # The deciding search finds its path but neither
-                        # flips nor logs it.
-                        _, found, flip, logged = kernel_searches[-1]
-                        assert found and not flip and logged == 0
-                if viable:
-                    color_of[idx] = color
-                    stack.append(idx)
-                else:
-                    # A pruned edge is not added, so nothing is undone.
-                    assert _kernel_state(classes) == before
+                        # A pruned edge is not added, so nothing is undone.
+                        assert _kernel_state(classes) == before
             while stack:
-                pop(stack, classes, color_of)
+                pop(stack, twins, color_of)
             assert _kernel_state(classes) == initial
-            assert forest.parent == [-1] * size
-            assert forest.base == list(range(size))
-            assert not any(forest.even + forest.seen + forest.in_blossom)
-    # The walks reach every trigger shape.
+            for f in (forest, memo_forest):
+                assert f.parent == [-1] * size
+                assert f.base == list(range(size))
+                assert not any(f.even + f.seen + f.in_blossom)
+    # The walks reach every trigger shape, and the memo answers some
+    # triggers in place of the searches, both ways.
     assert len(hits) == 3, hits
+    assert set(memo_hits) == {"commit", "prune"}, memo_hits
 
 
 def test_remove_runs_once_per_committed_add(monkeypatch):
@@ -517,9 +569,9 @@ def test_remove_runs_once_per_committed_add(monkeypatch):
     committed = []  # (class, edge) of the edges applied now
     counts = collections.Counter()
 
-    def counting_add(cls, u, v):
+    def counting_add(cls, u, v, idx):
         counts["add"] += 1
-        viable = real_add(cls, u, v)
+        viable = real_add(cls, u, v, idx)
         if viable:
             counts["committed"] += 1
             committed.append((cls, (u, v)))
@@ -537,6 +589,43 @@ def test_remove_runs_once_per_committed_add(monkeypatch):
     assert counts["add"] == result.nodes
     assert committed == []
     assert counts["remove"] == counts["committed"] < counts["add"]
+    assert (counts["add"], counts["committed"]) == (6_821, 2_294)
+
+
+def test_search_memo_needs_three_colors_and_stays_within_its_cap(monkeypatch):
+    # With at most two colors edge 0 is color 1, so a class's edge set and
+    # the new edge fix the whole prefix: no key repeats, and none is kept.
+    for cfg in (SearchConfig(11, 2, 8, node_budget=100_000), SearchConfig(6, 1, 4)):
+        assert search_module._Searcher(cfg).memo is None
+    for k in (3, 4, 10**5):
+        assert search_module._Searcher(SearchConfig(9, k, 4)).memo == {}
+    # A byte budget of three entries: the full memo takes no more, and the
+    # result is that of the memo-less search.
+    monkeypatch.setattr(search_module, "MEMO_BYTES", 3 * (80 + 28 // 7))
+    for shape, status, nodes in [((8, 3, 4), CERTIFIED_NONE, 6_821),
+                                 ((7, 4, 4), FOUND, 35_656)]:
+        searcher = search_module._Searcher(SearchConfig(*shape))
+        result = searcher.run()
+        assert (result.status, result.nodes) == (status, nodes)
+        # Entries are never dropped, so the final size is the largest.
+        assert len(searcher.memo) == searcher.memo_cap == 3
+        plain = search_module._Searcher(SearchConfig(*shape))
+        plain.memo = None
+        assert plain.run() == result
+    # Out of index order a key would not fix uv: such an add skips the memo.
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+
+    def memo_after(indices):
+        memo = {}
+        cls = search_module._ColorMatching(
+            6, 2, search_module._Forest(6), memo, len(edges)
+        )
+        for idx in indices:
+            cls.add(*edges[idx], idx)
+        return memo
+
+    assert memo_after(range(len(edges)))
+    assert memo_after(reversed(range(len(edges)))) == {}
 
 
 def test_ramsey_values():
