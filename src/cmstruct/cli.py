@@ -149,13 +149,9 @@ def _cmd_loss_check(args) -> int:
     tag = "HOLDS (equality)" if sigma == total else "HOLDS" if holds else "VIOLATED"
     print(f"{kind} loss bound: {tag}")
     if coloring.color_count > 1:
-        f_parts = graphs.per_color(g, coloring, lambda cls: loss.f_graph(cls, args.n))
-        parts = sum(
-            (f * count for f, count in graphs.distinct_with_counts(f_parts)),
-            Fraction(0),
-        )
-        print(f"additivity over colors: {'HOLDS' if parts == total else 'VIOLATED'}")
-        holds = holds and parts == total
+        additive = ledger.color_loss_sum == total
+        print(f"additivity over colors: {'HOLDS' if additive else 'VIOLATED'}")
+        holds = holds and additive
     if args.machine:
         for v in sorted(ledger.per_vertex):
             print(f"v {v} {ledger.classes[v]} {_fmt_ratio(ledger.per_vertex[v])}")
@@ -205,12 +201,12 @@ def _cmd_bounds_check(args) -> int:
 
 def _cmd_audit(args) -> int:
     g, coloring = _load(args)
+    params = bounds_mod.AuditParams(args.k, args.epsilon, args.delta, args.n)
     print(
         f"# cmstruct audit n={args.n} k={args.k} "
         f"epsilon={_fmt_ratio(args.epsilon)} delta={_fmt_ratio(args.delta)} "
         f"input={args.input}"
     )
-    params = bounds_mod.AuditParams(args.k, args.epsilon, args.delta, args.n)
     report = bounds_mod.audit_coloring(params, g, coloring)
     print("hypotheses:")
     for h in report.hypotheses:

@@ -31,7 +31,12 @@ class VertexClass(enum.Enum):
 
 @dataclass(frozen=True)
 class LossLedger:
-    """Per-vertex loss values plus the graph-level total."""
+    """Per-vertex loss values plus the graph-level total, and the partitions
+    and single-color loss f of each color class.
+
+    Colors that share one partition tuple (the unused ones) share one loss
+    object too.
+    """
 
     mode: str  # "single" or "multi"
     n: int
@@ -39,16 +44,30 @@ class LossLedger:
     total: Fraction
     classes: Mapping[int, str]
     partitions: Mapping[int, tuple[SQIPartition, ...]]  # keyed by color
+    color_losses: Mapping[int, Fraction]  # keyed by color
 
     @property
     def vertex_sum(self) -> Fraction:
         return sum(self.per_vertex.values(), Fraction(0))
 
+    @property
+    def color_loss_sum(self) -> Fraction:
+        """Sum of the color classes' losses, one term per shared value."""
+        return sum(
+            (f * count for f, count in distinct_with_counts(self.color_losses)),
+            Fraction(0),
+        )
+
+
+def _loss(g: Graph, n: int, k: int = 1) -> Fraction:
+    """``k * (n-1)/2 * v(G) - e(G)``, with no guard."""
+    return Fraction(k * (n - 1), 2) * g.vertex_count - g.edge_count
+
 
 def f_graph(g: Graph, n: int) -> Fraction:
     """Edge loss of the whole graph against ``(n-1)/2`` per vertex."""
     require_no_connected_matching(g, n)
-    return Fraction(n - 1, 2) * g.vertex_count - g.edge_count
+    return _loss(g, n)
 
 
 def f_vertex(
@@ -94,15 +113,16 @@ def check_f_inequality(g: Graph, n: int) -> tuple[bool, LossLedger]:
     A False result indicates an implementation bug, not a property of the
     input; callers should treat it as fatal.
     """
-    require_no_connected_matching(g, n)
+    total = f_graph(g, n)
     parts = component_partitions(g, n)
     values = f_vertex(g, n, parts)
-    total = Fraction(n - 1, 2) * g.vertex_count - g.edge_count
     classes = {}
     for p in parts:
         for v in p.vertices:
             classes[v] = p.class_of(v)
-    ledger = LossLedger("single", n, values, total, classes, {1: tuple(parts)})
+    ledger = LossLedger(
+        "single", n, values, total, classes, {1: tuple(parts)}, {1: total}
+    )
     return ledger.vertex_sum <= total, ledger
 
 
@@ -114,18 +134,26 @@ def classify_vertices(
     A vertex is strong when some color puts it in S, Q-saturated when every
     color puts it in Q, and small otherwise.
     """
-    return _classify(g, _color_partitions(g, coloring, n))
+    return _classify(g, _color_analysis(g, coloring, n)[0])
 
 
-def _color_partitions(
+def _color_analysis(
     g: Graph, coloring: EdgeColoring, n: int
-) -> dict[int, tuple[SQIPartition, ...]]:
-    """S/Q/I partitions of every color class, after the detection guard.
+) -> tuple[dict[int, tuple[SQIPartition, ...]], dict[int, Fraction]]:
+    """S/Q/I partitions and loss f of every color class, each keyed by
+    color, from one pass after the detection guard.
 
-    The unused colors share one tuple (see ``graphs.per_color``).
+    The guard rules out a connected matching of size ``n/2`` in every
+    class, so the losses need no guard of their own. The unused colors
+    share one partition tuple and one loss (see ``graphs.per_color``).
     """
     require_no_monochromatic_cm(g, coloring, n)
-    return per_color(g, coloring, lambda cls: tuple(component_partitions(cls, n)))
+    analysis = per_color(
+        g, coloring, lambda cls: (tuple(component_partitions(cls, n)), _loss(cls, n))
+    )
+    partitions = {c: parts for c, (parts, _) in analysis.items()}
+    losses = {c: f for c, (_, f) in analysis.items()}
+    return partitions, losses
 
 
 def _classify(
@@ -155,7 +183,7 @@ def _classify(
 def F_graph(g: Graph, coloring: EdgeColoring, n: int) -> Fraction:
     """Total loss over all colors: ``k * (n-1)/2 * v(G) - e(G)``."""
     require_no_monochromatic_cm(g, coloring, n)
-    return Fraction(coloring.color_count * (n - 1), 2) * g.vertex_count - g.edge_count
+    return _loss(g, n, coloring.color_count)
 
 
 def F_vertex(g: Graph, coloring: EdgeColoring, n: int) -> dict[int, Fraction]:
@@ -171,7 +199,7 @@ def check_F_inequality(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> tuple[bool, LossLedger]:
     """Multicolor analogue of check_f_inequality."""
-    partitions = _color_partitions(g, coloring, n)
+    partitions, losses = _color_analysis(g, coloring, n)
     classes = _classify(g, partitions)
     k = coloring.color_count
     values: dict[int, Fraction] = {}
@@ -183,7 +211,7 @@ def check_F_inequality(
             values[v] = Fraction(k * (n - 1), 2) - Fraction(g.degree(v), 2)
         else:
             values[v] = Fraction(0)
-    total = Fraction(k * (n - 1), 2) * g.vertex_count - g.edge_count
+    total = _loss(g, n, k)
     ledger = LossLedger(
         "multi",
         n,
@@ -191,5 +219,6 @@ def check_F_inequality(
         total,
         {v: c.value for v, c in classes.items()},
         partitions,
+        losses,
     )
     return ledger.vertex_sum <= total, ledger

@@ -63,10 +63,11 @@ an edge added out of order skips the memo. The memo maps a key to nu
 capped at n/2 and is read only at a prune trigger:
 
 - A known nu >= n/2 prunes before anything is written.
-- A known nu equal to the stored size (after the exposed-pair match) says
-  the stored matching is maximum. The edge commits with bound = size and
-  no search: exactly the state a failed search leaves, as a failed search
-  flips nothing.
+- A known nu below n/2 ends the searches once the stored size (after the
+  exposed-pair match) reaches it: the stored matching is then maximum, and
+  the edge commits with bound = size. The final, failed search of the
+  memo-less run is skipped; it would flip nothing, so the state is the
+  same. A known nu equal to the stored size runs no search at all.
 - Otherwise the searches run as without the memo, and a key not yet known
   gets their outcome.
 
@@ -254,9 +255,11 @@ class _ColorMatching:
             mate[v] = u
             size += 1
         if cap >= target:
-            # A known matching number equal to the size is what a failed
-            # search would prove: the stored matching is maximum.
-            if known != size:
+            # A known matching number ends the searches: once the size
+            # reaches it, the stored matching is maximum, as a failed search
+            # would prove.
+            goal = known if known >= 0 else target
+            if size < goal:
                 # After a tight edge every augmenting path uses uv, and an
                 # exposed end of uv is an end of each: one search decides.
                 if tight and mate[u] == -1:
@@ -270,7 +273,7 @@ class _ColorMatching:
                 # meet the target only has to find its path, not flip it.
                 while augment(adj, mate, roots, flips, size + 1 < target):
                     size += 1
-                    if size >= target:
+                    if size >= goal:
                         break
                     roots = self._exposed(ra, rb)
                 if key and len(memo) < self.memo_cap:

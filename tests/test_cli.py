@@ -1,3 +1,4 @@
+import collections
 import os
 import shlex
 import subprocess
@@ -16,7 +17,7 @@ from cmstruct import (
     serialize,
     star_graph,
 )
-from cmstruct import cli, loss, partition
+from cmstruct import cli, constructions, graphs, loss, matching, partition
 from cmstruct.cli import main
 from cmstruct.graphs import MAX_COLORS, MAX_VERTICES
 
@@ -106,15 +107,24 @@ def test_loss_check_machine_lines(tmp_path, capsys):
     assert "additivity over colors: HOLDS" in out
 
 
+def _wrap_color_analysis(monkeypatch, wrap):
+    """Pass each (class, partitions, loss) of loss's one per-color pass
+    through ``wrap``, which returns the (partitions, loss) to keep."""
+    real = loss.per_color
+    monkeypatch.setattr(
+        loss, "per_color",
+        lambda g, coloring, fn: real(g, coloring, lambda cls: wrap(cls, *fn(cls))),
+    )
+
+
 def test_loss_check_sums_one_loss_for_all_unused_colors(tmp_path, capsys, monkeypatch):
-    real = loss.f_graph
     calls = []
 
-    def counting(g, n):
-        calls.append(g.edge_count)
-        return real(g, n)
+    def counting(cls, parts, f):
+        calls.append(cls.edge_count)
+        return parts, f
 
-    monkeypatch.setattr(loss, "f_graph", counting)
+    _wrap_color_analysis(monkeypatch, counting)
     path = tmp_path / "wide.g"
     path.write_text("p cm 5 100000\ne 0 1 3\n")
     code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
@@ -139,14 +149,56 @@ def test_loss_check_adds_one_term_per_distinct_loss(tmp_path, capsys, monkeypatc
         __add__, __radd__ = recorded("__add__"), recorded("__radd__")
         __mul__, __rmul__ = recorded("__mul__"), recorded("__rmul__")
 
-    real = loss.f_graph
-    monkeypatch.setattr(loss, "f_graph", lambda g, n: RecordedFraction(real(g, n)))
+    _wrap_color_analysis(monkeypatch, lambda cls, parts, f: (parts, RecordedFraction(f)))
     path = tmp_path / "wide.g"
     path.write_text("p cm 5 100000\ne 0 1 3\n")
     code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
     assert code == 0
     assert "additivity over colors: HOLDS" in out
     assert 1 <= len(ops) <= 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cm 5 100000\ne 0 1 3\n",
+        serialize(*constructions.affine_plane_coloring(3)),
+    ],
+    ids=["unused-colors", "affine-3"],
+)
+def test_loss_check_builds_each_used_class_twice_and_runs_no_matching_guard(
+    tmp_path, capsys, monkeypatch, text
+):
+    # The detector builds each used class once and the per-color pass once
+    # more; the additivity line reads the losses of that pass, so no class
+    # is checked for a connected matching again.
+    counts = collections.Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    originals = {
+        "color_class": graphs.color_class,
+        "max_connected_matching": matching.max_connected_matching,
+    }
+    # Rebind every module's reference, as each module calls its own.
+    modules = [m for key, m in sys.modules.items() if key.startswith("cmstruct")]
+    for module in modules:
+        for name, real in originals.items():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    path = tmp_path / "colored.g"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
+    assert code == 0
+    assert "additivity over colors: HOLDS" in out
+    used = len(parse_graph(text)[1].colors_used())
+    assert counts["max_connected_matching"] == 0
+    assert 0 < counts["color_class"] <= 2 * used
 
 
 def test_loss_check_with_unused_colors(tmp_path, capsys):
@@ -377,6 +429,16 @@ def test_analysis_commands_refuse_bad_n_before_output(tmp_path, capsys, command,
     code, out, err = run(capsys, command + ["--n", n, "--input", path])
     assert (code, out) == (1, "")
     assert f"n must be an even integer >= 2, got {n}" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_audit_refuses_bad_k_before_output(tmp_path, capsys, k):
+    path = write_graph(tmp_path / "k3.g", complete_graph(3))
+    argv = ["audit", "--n", "4", "--k", k, "--epsilon", "1/2",
+            "--delta", "1/500", "--input", path]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "cmstruct: k must be positive\n"
 
 
 def test_usage_error_exit_code(capsys):

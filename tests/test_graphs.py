@@ -10,6 +10,7 @@ from cmstruct import (
     color_class,
     complete_graph,
     components,
+    cycle_graph,
     disjoint_union,
     parse_graph,
     serialize,
@@ -118,6 +119,31 @@ def test_serialize_uncolored_defaults_to_one_color():
     assert text.splitlines()[0] == "p cm 3 1"
     g2, c2 = parse_graph(text)
     assert g2 == g and c2.color_count == 1
+
+
+def test_serialize_rejects_a_coloring_of_other_edges():
+    # The coloring misses edge (1, 2) of the triangle and colors (0, 3),
+    # which is not an edge of it.
+    coloring = EdgeColoring(2, {(0, 1): 1, (0, 2): 2, (0, 3): 1})
+    with pytest.raises(ValueError) as exc:
+        serialize(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), coloring)
+    assert str(exc.value) == (
+        "coloring does not match edge set (missing [(1, 2)], extra [(0, 3)])"
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_cycle_graph(n):
+    g = cycle_graph(n)
+    assert g.vertex_count == n
+    assert g.edges == {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+    assert all(g.degree(v) == 2 for v in range(n))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_cycle_graph_needs_three_vertices(n):
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        cycle_graph(n)
 
 
 @st.composite

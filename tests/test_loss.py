@@ -263,13 +263,12 @@ def test_classify_reads_shared_partitions_once(monkeypatch):
     real = loss_module.per_color
 
     def counted(g, coloring, fn):
-        wrapped = {}
-        out = {}
-        for color, parts in real(g, coloring, fn).items():
-            if id(parts) not in wrapped:
-                wrapped[id(parts)] = _CountedTuple(parts, passes)
-            out[color] = wrapped[id(parts)]
-        return out
+        # Colors that share one class analysis share its counted tuple.
+        def analysis(cls):
+            parts, f = fn(cls)
+            return _CountedTuple(parts, passes), f
+
+        return real(g, coloring, analysis)
 
     monkeypatch.setattr(loss_module, "per_color", counted)
     g = Graph.from_edges(5, [(0, 1)])

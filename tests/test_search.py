@@ -499,15 +499,23 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                     viable = classes[color].add(*edges[idx], idx)
                     kernel_searches = [search[1:] for search in searches]
                     searches.clear()
+                    mask = memo_classes[color].mask
+                    known = memo.get(mask | 1 << idx, -1) if 1 << idx > mask else -1
                     assert memo_classes[color].add(*edges[idx], idx) == viable
                     assert _kernel_state(memo_classes) == _kernel_state(classes)
                     memo_searches = [search[1:] for search in searches]
                     assert all(search[0] is memo_forest for search in searches)
-                    if memo_searches:
-                        # A miss, or a known number above the stored size: the
-                        # same searches run.
+                    if known < 0:
+                        # A miss: the same searches run.
                         assert memo_searches == kernel_searches
+                    elif known >= n // 2:
+                        assert not viable and not memo_searches
                     elif kernel_searches:
+                        # The known number ends the searches: the kernel's
+                        # final, failed search does not run.
+                        assert not kernel_searches[-1][1]
+                        assert memo_searches == kernel_searches[:-1]
+                    if kernel_searches and not memo_searches:
                         memo_hits["commit" if viable else "prune"] += 1
                     cls = Graph.from_edges(
                         size,
@@ -559,6 +567,41 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     # triggers in place of the searches, both ways.
     assert len(hits) == 3, hits
     assert set(memo_hits) == {"commit", "prune"}, memo_hits
+
+
+def test_known_matching_number_ends_the_searches(monkeypatch):
+    # On K_6 with n = 6, edge 14 = (4, 5) joins vertex 5 to the class
+    # {01, 03, 04, 24}, whose matching number is 2. Adding 01 and 24 first
+    # stores a matching of size 2 and records the key; adding 04 first
+    # stores only 04, so a later trigger on the same key starts at size 1.
+    found = []
+    real_augment = search_module._Forest.augment
+
+    def recording_augment(forest, adj, mate, roots, log=None, flip=True):
+        found.append(real_augment(forest, adj, mate, roots, log, flip))
+        return found[-1]
+
+    monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    memo: dict[int, int] = {}
+    forest = search_module._Forest(6)
+    kernel = search_module._ColorMatching(6, 3, forest)
+    twin = search_module._ColorMatching(6, 3, forest, memo, 100)
+    for order in ([0, 10, 3, 2], [3, 0, 10, 2]):
+        searches = []
+        for cls in (kernel, twin):
+            for idx in order + [14]:
+                found.clear()
+                assert cls.add(*edges[idx], idx)
+            searches.append(list(found))
+        assert _kernel_state([None, twin]) == _kernel_state([None, kernel])
+        for cls in (kernel, twin):
+            for idx in reversed(order + [14]):
+                cls.remove(*edges[idx])
+        assert memo == {1 | 1 << 2 | 1 << 3 | 1 << 10 | 1 << 14: 2}
+    # The kernel augments once and then fails; the twin stops at the known
+    # matching number.
+    assert searches == [[True, False], [True]]
 
 
 def test_remove_runs_once_per_committed_add(monkeypatch):
