@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import constructions, errors, graphs, loss, partition, search
-from .matching import maximum_matching, require_even_n, tutte_berge
+from .matching import require_even_n, tutte_berge
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,21 +67,29 @@ def _load(args) -> tuple[graphs.Graph, graphs.EdgeColoring]:
     return graphs.parse_graph(text)
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a failed write is an input error like a
+    failed read."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise errors.Error(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_graph(
     g: graphs.Graph,
     coloring: graphs.EdgeColoring,
     header: list[str],
     out: str | None,
     dot: str | None = None,
-    classes=None,
 ) -> None:
     text = "".join(f"# {line}\n" for line in header) + graphs.serialize(g, coloring)
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
     if dot:
-        Path(dot).write_text(graphs.to_dot(g, coloring, classes))
+        _write(dot, graphs.to_dot(g, coloring))
 
 
 def _cmd_decompose(args) -> int:
@@ -93,9 +101,8 @@ def _cmd_decompose(args) -> int:
     for cid, members in enumerate(labeling.vertex_sets()):
         sub, ids = g.induced(members)
         print(f"component {cid}: {len(members)} vertices {_fmt_set(members)}")
-        m = maximum_matching(sub)
-        print(f"  maximum matching: {m.size} edge(s)")
         wit = tutte_berge(sub)
+        print(f"  maximum matching: {(len(members) - wit.deficiency) // 2} edge(s)")
         print(
             f"  deficiency: {wit.deficiency}, witness "
             f"{_fmt_set(ids[v] for v in wit.witness)}"
@@ -130,7 +137,7 @@ def _cmd_decompose(args) -> int:
             print("  FAIL edge bound exceeded")
             worst = EXIT_VIOLATED
     if args.dot:
-        Path(args.dot).write_text(graphs.to_dot(g, coloring, all_classes))
+        _write(args.dot, graphs.to_dot(g, coloring, all_classes))
     return worst
 
 

@@ -246,15 +246,14 @@ def _max_matching_mates(adj: tuple[tuple[int, ...], ...] | list[list[int]],
     return mate
 
 
-def matching_number(g: Graph) -> int:
-    mate = _max_matching_mates(g.adjacency)
-    return sum(1 for v, m in enumerate(mate) if m > v)
-
-
 def maximum_matching(g: Graph) -> Matching:
     """A maximum matching of ``g``, deterministic for fixed input."""
     mate = _max_matching_mates(g.adjacency)
     return Matching(frozenset((v, m) for v, m in enumerate(mate) if m > v))
+
+
+def matching_number(g: Graph) -> int:
+    return maximum_matching(g).size
 
 
 def matching_of_size(g: Graph, target: int) -> Matching | None:

@@ -21,6 +21,8 @@ from cmstruct import cli, constructions, graphs, loss, matching, partition
 from cmstruct.cli import main
 from cmstruct.graphs import MAX_COLORS, MAX_VERTICES
 
+from .test_matching import count_max_matchings
+
 
 def write_graph(path, g, coloring=None):
     path.write_text(serialize(g, coloring))
@@ -65,6 +67,9 @@ def test_decompose_builds_each_witness_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "tutte_berge", counting)
     monkeypatch.setattr(partition, "tutte_berge", counting)
+    # The printed matching number is read from the witness, so each
+    # component's one maximum matching is the witness's.
+    matchings = count_max_matchings(monkeypatch)
     # Two components above n - 1 = 3 vertices, which get a partition from
     # the witness, and one small component.
     g = disjoint_union([star_graph(5), star_graph(4), path_graph(2)])
@@ -73,6 +78,7 @@ def test_decompose_builds_each_witness_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out.count("conditions 1-4: PASS") == 3
     assert sorted(orders) == [2, 5, 6]
+    assert sorted(matchings) == [2, 5, 6]
 
 
 def test_decompose_rejects_large_matching(tmp_path, capsys):
@@ -251,6 +257,27 @@ def test_bounds_check(tmp_path, capsys):
     assert code == 0
     assert "edge bound e <= (n-2)/2 v: HOLDS (e = 3, slack = 1)" in out
     assert "small-components cap: not applicable" in out
+
+
+def test_bounds_check_small_components_cap_on_a_colored_file(tmp_path, capsys):
+    # Four triangles, each colored 1, 2, 3, in a file declaring k = 4: no
+    # component of the whole graph has a matching of n/2 = 2 edges, so the
+    # Erdos-Gallai guard passes and the cap applies.
+    path = tmp_path / "triangles.g"
+    path.write_text(
+        "p cm 14 4\n"
+        + "".join(
+            f"e {a} {a + 1} 1\ne {a + 1} {a + 2} 2\ne {a} {a + 2} 3\n"
+            for a in (0, 3, 6, 9)
+        )
+    )
+    code, out, _ = run(capsys, ["bounds-check", "--n", "4", "--input", str(path)])
+    assert code == 0
+    assert out == (
+        f"# cmstruct bounds-check n=4 input={path}\n"
+        "edge bound e <= (n-2)/2 v: HOLDS (e = 12, slack = 2)\n"
+        "small-components cap e <= C(v,2) - n^2/32: HOLDS (slack = 157/2)\n"
+    )
 
 
 def test_bounds_check_takes_the_color_count_from_the_file(tmp_path, capsys):
@@ -487,6 +514,37 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, ["decompose", "--n", "4", "--input", "/nonexistent"])
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "affine", "--q", "3", "--out", "{missing}"],
+        ["construct", "affine", "--q", "3", "--dot", "{missing}"],
+        ["decompose", "--n", "4", "--input", "{input}", "--dot", "{missing}"],
+        ["search", "--n-vertices", "4", "--k", "2", "--n", "4", "--out", "{missing}"],
+        ["search", "--n-vertices", "4", "--k", "2", "--n", "4", "--dot", "{missing}"],
+    ],
+    ids=["construct-out", "construct-dot", "decompose-dot", "search-out", "search-dot"],
+)
+def test_unwritable_output_is_usage_error(tmp_path, argv):
+    # A child process, so that an uncaught exception shows as a traceback.
+    values = {
+        "input": write_graph(tmp_path / "star4.g", star_graph(3)),
+        "missing": str(tmp_path / "missing" / "out"),
+    }
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "cmstruct.cli", *(a.format(**values) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert child.returncode == 1
+    assert child.stderr.startswith(f"cmstruct: cannot write {values['missing']}: ")
+    assert child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
 
 
 def test_format_error_reports_line(tmp_path, capsys):
