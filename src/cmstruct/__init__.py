@@ -35,7 +35,6 @@ from .loss import (
     LossLedger,
     VertexClass,
     F_graph,
-    F_vertex,
     check_F_inequality,
     check_f_inequality,
     classify_vertices,

@@ -225,13 +225,11 @@ def audit_coloring(
         sub, sub_coloring = induced_coloring(g, coloring, trimmed)
         sc_applicable, sc_ok, _ = small_components_bound(sub, sub_coloring, n)
 
+    qsat = VertexClass.Q_SATURATED
     qsat_loss = {
-        v: (
-            Fraction(k * (n - 1), 2) - Fraction(g.degree(v), 2),
-            Fraction(k * (n - 1), 2) - Fraction(g.degree(v) - 1, 2),
-        )
+        v: (qsat.loss(n, k, g.degree(v)), qsat.loss(n, k, g.degree(v) - 1))
         for v in range(g.vertex_count)
-        if classes[v] is VertexClass.Q_SATURATED
+        if classes[v] is qsat
     }
 
     return AuditReport(

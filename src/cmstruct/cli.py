@@ -40,6 +40,19 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _color_count(text: str) -> int:
+    """``int(text)`` for a ``--k`` whose coloring is written out: a value
+    above ``graphs.MAX_COLORS`` would make a file that ``parse_graph``
+    refuses, so it is a usage error here."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if k > graphs.MAX_COLORS:
+        raise argparse.ArgumentTypeError(f"k = {k} exceeds {graphs.MAX_COLORS}")
+    return k
+
+
 def _fmt(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -387,16 +400,16 @@ def _build_parser() -> _Parser:
     q.add_argument("--q", type=int, required=True, help="prime order")
     q = gen.add_parser("cliques", help="greedy clique-union partition of K_N")
     q.add_argument("--n-vertices", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_color_count, required=True)
     q.add_argument("--max-clique", type=int, required=True)
     q.add_argument("--seed", type=int, default=None)
     q = gen.add_parser("random", help="uniform random coloring of K_N")
     q.add_argument("--n-vertices", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_color_count, required=True)
     q.add_argument("--seed", type=int, default=0)
     q = gen.add_parser("bounded", help="random coloring with small components")
     q.add_argument("--n-vertices", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_color_count, required=True)
     q.add_argument("--max-component", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
     for sp in gen.choices.values():
@@ -406,7 +419,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="search for an avoiding coloring")
     p.add_argument("--n-vertices", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_color_count, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="keep going until the space is certified empty")
@@ -417,7 +430,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("ramsey", help="exact connected-matching Ramsey scan")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_color_count, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max", type=int, required=True, help="largest N to scan")
     p.add_argument("--budget", type=int, default=10**9)

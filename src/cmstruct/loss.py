@@ -28,6 +28,18 @@ class VertexClass(enum.Enum):
     Q_SATURATED = "q-saturated"
     SMALL = "small"
 
+    def loss(self, n: int, k: int, degree: int) -> Fraction:
+        """A vertex's share of the k-color loss: ``(n-1)/4`` when strong,
+        ``k * (n-1)/2 - degree/2`` when Q-saturated, 0 when small.
+
+        The single-color S/Q/I shares are the k = 1 case.
+        """
+        if self is VertexClass.STRONG:
+            return Fraction(n - 1, 4)
+        if self is VertexClass.Q_SATURATED:
+            return Fraction(k * (n - 1) - degree, 2)
+        return Fraction(0)
+
 
 @dataclass(frozen=True)
 class LossLedger:
@@ -97,12 +109,13 @@ def f_vertex(
 
     values: dict[int, Fraction] = {}
     for p in partitions:
-        for v in p.S:
-            values[v] = Fraction(n - 1, 4)
-        for v in p.Q:
-            values[v] = Fraction(n - 1, 2) - Fraction(g.degree(v), 2)
-        for v in p.I:
-            values[v] = Fraction(0)
+        for part, cls in (
+            (p.S, VertexClass.STRONG),
+            (p.Q, VertexClass.Q_SATURATED),
+            (p.I, VertexClass.SMALL),
+        ):
+            for v in part:
+                values[v] = cls.loss(n, 1, g.degree(v))
     assert all(x >= 0 for x in values.values())
     return values
 
@@ -186,31 +199,15 @@ def F_graph(g: Graph, coloring: EdgeColoring, n: int) -> Fraction:
     return _loss(g, n, coloring.color_count)
 
 
-def F_vertex(g: Graph, coloring: EdgeColoring, n: int) -> dict[int, Fraction]:
-    """Per-vertex multicolor loss: ``(n-1)/4`` for strong vertices,
-    ``k * (n-1)/2 - deg(v)/2`` for Q-saturated ones, 0 for small ones.
-
-    These are the ``per_vertex`` values of check_F_inequality's ledger.
-    """
-    return dict(check_F_inequality(g, coloring, n)[1].per_vertex)
-
-
 def check_F_inequality(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> tuple[bool, LossLedger]:
-    """Multicolor analogue of check_f_inequality."""
+    """Multicolor analogue of check_f_inequality; the per-vertex values
+    come from ``VertexClass.loss``."""
     partitions, losses = _color_analysis(g, coloring, n)
     classes = _classify(g, partitions)
     k = coloring.color_count
-    values: dict[int, Fraction] = {}
-    for v in range(g.vertex_count):
-        cls = classes[v]
-        if cls is VertexClass.STRONG:
-            values[v] = Fraction(n - 1, 4)
-        elif cls is VertexClass.Q_SATURATED:
-            values[v] = Fraction(k * (n - 1), 2) - Fraction(g.degree(v), 2)
-        else:
-            values[v] = Fraction(0)
+    values = {v: c.loss(n, k, g.degree(v)) for v, c in classes.items()}
     total = _loss(g, n, k)
     ledger = LossLedger(
         "multi",

@@ -413,12 +413,13 @@ class _Searcher:
             self.nodes = nodes
 
     def run(self) -> SearchResult:
-        # Replay the prefix; a pruned prefix certifies its subtree empty.
+        # Replay the prefix. It is a viable assignment of the same
+        # deterministic walk, so every step applies again.
         max_used = 0
         for idx, color in enumerate(self.prefix):
             self._offer(self._choices(idx, max_used))
-            if not self.adds[color](*self.edge_list[idx], idx):
-                return SearchResult(CERTIFIED_NONE, None, 0)
+            applied = self.adds[color](*self.edge_list[idx], idx)
+            assert applied, "a replayed prefix is viable"
             self.color_of[idx] = color
             max_used = max(max_used, color)
         hit = next(self._dfs(len(self.prefix), max_used, len(self.edge_list)), None)
@@ -539,8 +540,7 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
     if cfg.threads == 1:
         return _Searcher(cfg).run()
 
-    edge_total = cfg.vertex_count * (cfg.vertex_count - 1) // 2
-    depth = min(edge_total, max(2, cfg.vertex_count - 1))
+    depth = cfg.vertex_count - 1  # the star at vertex 0
     walker = _Searcher(cfg)
     marks = ((walker.nodes, prefix) for prefix in walker._dfs(0, 0, depth))
     # At most one worker per CPU and per subtree.

@@ -342,6 +342,44 @@ def test_construct_refuses_sizes_above_the_cap(capsys, argv):
     assert "must be <= 1024" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "cliques", "--n-vertices", "3", "--max-clique", "2"],
+        ["construct", "random", "--n-vertices", "3"],
+        ["construct", "bounded", "--n-vertices", "3", "--max-component", "2"],
+        ["search", "--n-vertices", "3", "--n", "4"],
+        ["ramsey", "--n", "4", "--max", "3"],
+    ],
+    ids=["cliques", "random", "bounded", "search", "ramsey"],
+)
+def test_color_count_above_the_reader_cap_is_usage_error(argv):
+    # A child process, so that an uncaught exception shows as a traceback.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "cmstruct.cli", *argv, "--k", str(MAX_COLORS + 1)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr.endswith(
+        f"error: argument --k: k = {MAX_COLORS + 1} exceeds {MAX_COLORS}\n"
+    )
+    assert "Traceback" not in child.stderr
+
+
+def test_written_coloring_at_the_color_cap_parses(capsys):
+    code, out, _ = run(
+        capsys,
+        ["construct", "random", "--n-vertices", "3", "--k", str(MAX_COLORS)],
+    )
+    assert code == 0
+    _, coloring = parse_graph(out)
+    assert coloring.color_count == MAX_COLORS
+
+
 def _body(out):
     """Stdout after the header line, which echoes the arguments."""
     return out.split("\n", 1)[1]

@@ -100,6 +100,30 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p cm 3 1\np cm 3 1\n", 2, "duplicate header"),
+        ("p cm 3\n", 1, "bad header 'p cm 3'"),
+        ("p xx 3 1\n", 1, "bad header 'p xx 3 1'"),
+        ("# c\np cm three 1\n", 2, "bad header 'p cm three 1'"),
+        ("p cm -1 1\n", 1, "header requires N >= 0 and k >= 1"),
+        ("p cm 3 0\n", 1, "header requires N >= 0 and k >= 1"),
+        ("p cm 3 1\ne 0 1\n", 2, "bad edge line 'e 0 1'"),
+        ("p cm 3 1\n\ne 0 x 1\n", 3, "bad edge line 'e 0 x 1'"),
+        ("p cm 3 1\ne 2 2 1\n", 2, "self-loop at vertex 2"),
+        ("p cm 3 1\nq 0 1\n", 2, "unknown record 'q'"),
+        ("# only a comment\n", 1, "missing 'p cm <N> <k>' header"),
+        ("", 1, "missing 'p cm <N> <k>' header"),
+    ],
+)
+def test_parse_error_lines_and_messages(text, line, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_roundtrip_seeded_random_colorings():
     rng = random.Random(7)
     for _ in range(100):

@@ -7,7 +7,6 @@ from cmstruct import (
     AuditParams,
     EdgeColoring,
     F_graph,
-    F_vertex,
     Graph,
     audit_coloring,
     VertexClass,
@@ -109,6 +108,35 @@ def test_classify_single_color_triangle():
     assert set(classes.values()) == {VertexClass.Q_SATURATED}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 4, 6, 10])
+def test_vertex_class_loss_matches_the_paper_shares(n, k):
+    for degree in range(k * (n - 1) + 3):
+        assert VertexClass.STRONG.loss(n, k, degree) == Fraction(n - 1, 4)
+        assert VertexClass.Q_SATURATED.loss(n, k, degree) == (
+            Fraction(k * (n - 1), 2) - Fraction(degree, 2)
+        )
+        assert VertexClass.SMALL.loss(n, k, degree) == 0
+        # the audit's shifted variant, read at degree - 1
+        assert VertexClass.Q_SATURATED.loss(n, k, degree - 1) == (
+            VertexClass.Q_SATURATED.loss(n, k, degree) + Fraction(1, 2)
+        )
+
+
+def test_audit_qsat_loss_is_the_vertex_class_rule():
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        g, coloring = avoiding_coloring(rng, rng.randint(4, 10), k, 4)
+        report = audit_coloring(AuditParams(k, Fraction(1, 2), 0, 4), g, coloring)
+        for v, (std, shifted) in report.qsat_loss.items():
+            assert std == Fraction(3 * k, 2) - Fraction(g.degree(v), 2)
+            assert shifted == std + Fraction(1, 2)
+            seen += 1
+    assert seen
+
+
 def test_classify_two_perfect_matchings():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     coloring = EdgeColoring(2, {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2})
@@ -126,7 +154,7 @@ def test_classify_rejects_monochromatic_cm():
 def test_F_examples():
     g, coloring = star_triangle()
     assert F_graph(g, coloring, 4) == 6
-    values = F_vertex(g, coloring, 4)
+    values = check_F_inequality(g, coloring, 4)[1].per_vertex
     assert values[3] == Fraction(3, 4)
     assert values[0] == Fraction(3, 2)
     assert values[1] == values[2] == 0
@@ -139,8 +167,8 @@ def test_F_reduces_to_f_for_one_color():
     g = complete_graph(3)
     coloring = EdgeColoring(1, {e: 1 for e in g.edges})
     assert F_graph(g, coloring, 4) == f_graph(g, 4)
-    assert F_vertex(g, coloring, 4) == f_vertex(g, 4, component_partitions(g, 4))
     holds, ledger = check_F_inequality(g, coloring, 4)
+    assert ledger.per_vertex == f_vertex(g, 4, component_partitions(g, 4))
     assert holds and ledger.vertex_sum == ledger.total == Fraction(3, 2)
 
 
@@ -148,11 +176,10 @@ def test_F_reduces_to_f_for_one_color():
     "analysis",
     [
         lambda g, c: classify_vertices(g, c, 4),
-        lambda g, c: F_vertex(g, c, 4),
         lambda g, c: check_F_inequality(g, c, 4),
         lambda g, c: audit_coloring(AuditParams(4, Fraction(1, 2), 0, 4), g, c),
     ],
-    ids=["classify_vertices", "F_vertex", "check_F_inequality", "audit_coloring"],
+    ids=["classify_vertices", "check_F_inequality", "audit_coloring"],
 )
 def test_per_color_analysis_runs_detection_once(monkeypatch, analysis):
     calls = []
@@ -187,7 +214,7 @@ def test_additivity_and_dominance_on_random_instances():
             Fraction(0),
         )
         assert total == parts
-        values = F_vertex(g, coloring, n)
+        values = check_F_inequality(g, coloring, n)[1].per_vertex
         assert all(v >= 0 for v in values.values())
         # per-vertex dominance: F(v) <= sum over colors of f_i(v)
         per_color = [

@@ -56,6 +56,41 @@ def test_find_mono_cm_on_monochromatic_clique():
     assert check_witness(g, coloring, 4, witness)
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda w: replace(w, matching=frozenset({(0, 1)})),
+        lambda w: replace(w, matching=frozenset({(0, 4), (2, 3)})),
+        lambda w: replace(w, matching=frozenset({(0, 1), (1, 2)})),
+        lambda w: replace(w, component=frozenset({0, 1})),
+        lambda w: replace(w, component=frozenset({0, 1, 2, 3, 4})),
+    ],
+    ids=[
+        "too-few-edges",
+        "edge-not-in-g",
+        "edges-share-a-vertex",
+        "edge-outside-component",
+        "wrong-component",
+    ],
+)
+def test_check_witness_rejects_forged_witnesses(forge):
+    g = complete_graph(4)
+    coloring = EdgeColoring(2, {e: 1 for e in g.edges})
+    witness = find_mono_cm(g, coloring, 4)
+    assert check_witness(g, coloring, 4, witness)
+    assert not check_witness(g, coloring, 4, forge(witness))
+
+
+def test_check_witness_rejects_an_edge_of_another_color():
+    # Color 1 stays connected on all four vertices, so only the edge's own
+    # color gives the forgery away.
+    g = complete_graph(4)
+    witness = find_mono_cm(g, EdgeColoring(2, {e: 1 for e in g.edges}), 4)
+    recolored = {e: 1 for e in g.edges}
+    recolored[min(witness.matching)] = 2
+    assert not check_witness(g, EdgeColoring(2, recolored), 4, witness)
+
+
 def test_find_mono_cm_none_cases():
     g = complete_graph(4)
     coloring = EdgeColoring(
@@ -732,6 +767,8 @@ def test_ramsey_rejects_bad_budget_and_range(kwargs, message):
         ({"color_count": 0}, "color_count must be >= 1"),
         ({"color_count": -1}, "color_count must be >= 1"),
         ({"vertex_count": -3}, "vertex_count must be >= 0"),
+        ({"node_budget": 0}, "node_budget must be positive"),
+        ({"threads": 0}, "threads must be >= 1"),
     ],
 )
 def test_search_config_rejects_no_colors_and_negative_order(kwargs, message):
