@@ -34,7 +34,6 @@ from .graphs import (
 from .loss import (
     LossLedger,
     VertexClass,
-    F_graph,
     check_F_inequality,
     check_f_inequality,
     classify_vertices,

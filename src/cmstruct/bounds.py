@@ -16,8 +16,7 @@ from math import comb
 from typing import Mapping
 
 from .graphs import EdgeColoring, Graph, components, induced_coloring, per_color
-from .loss import VertexClass, classify_vertices
-from .matching import require_no_connected_matching
+from .loss import VertexClass, classify_vertices, f_graph
 
 
 def erdos_gallai_check(g: Graph, n: int) -> tuple[bool, Fraction]:
@@ -25,11 +24,11 @@ def erdos_gallai_check(g: Graph, n: int) -> tuple[bool, Fraction]:
 
     Requires that the graph has no connected matching of size ``n/2``; the
     bound then always holds, with equality on disjoint unions of cliques on
-    ``n-1`` vertices. Returns the verdict and the exact slack.
+    ``n-1`` vertices. Returns the verdict and the exact slack
+    ``(n-2)/2 * v(G) - e(G)``, which is ``f(G) - v(G)/2``.
     """
-    require_no_connected_matching(g, n)
-    bound = Fraction(n - 2, 2) * g.vertex_count
-    return g.edge_count <= bound, bound - g.edge_count
+    slack = f_graph(g, n) - Fraction(g.vertex_count, 2)
+    return slack >= 0, slack
 
 
 def _largest_mono_component(g: Graph, coloring: EdgeColoring) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -443,7 +444,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at the null device, so that the
+        # flush at exit has nowhere to fail, and exit as on an output error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (errors.HasConnectedMatchingError, errors.HasMonochromaticMatchingError) as exc:
         print(f"cmstruct: {exc}", file=sys.stderr)
         return EXIT_VIOLATED

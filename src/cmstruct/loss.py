@@ -107,15 +107,10 @@ def f_vertex(
     if covered != set(range(g.vertex_count)):
         raise InvalidPartitionError("partitions do not cover the graph")
 
-    values: dict[int, Fraction] = {}
-    for p in partitions:
-        for part, cls in (
-            (p.S, VertexClass.STRONG),
-            (p.Q, VertexClass.Q_SATURATED),
-            (p.I, VertexClass.SMALL),
-        ):
-            for v in part:
-                values[v] = cls.loss(n, 1, g.degree(v))
+    values = {
+        v: c.loss(n, 1, g.degree(v))
+        for v, c in _classify(g, {1: tuple(partitions)}).items()
+    }
     assert all(x >= 0 for x in values.values())
     return values
 
@@ -191,12 +186,6 @@ def _classify(
         else:
             out[v] = VertexClass.SMALL
     return out
-
-
-def F_graph(g: Graph, coloring: EdgeColoring, n: int) -> Fraction:
-    """Total loss over all colors: ``k * (n-1)/2 * v(G) - e(G)``."""
-    require_no_monochromatic_cm(g, coloring, n)
-    return _loss(g, n, coloring.color_count)
 
 
 def check_F_inequality(

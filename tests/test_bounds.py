@@ -65,6 +65,7 @@ def test_erdos_gallai_random_suite():
         g = avoiding_graph(rng, n)
         holds, slack = erdos_gallai_check(g, n)
         assert holds and slack >= 0
+        assert slack == Fraction(n - 2, 2) * g.vertex_count - g.edge_count
 
 
 def test_small_components_bound_arithmetic():

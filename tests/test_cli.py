@@ -326,6 +326,31 @@ def test_construct_random_header_carries_seed(capsys):
     assert out2 == out  # byte-identical for identical argv and seed
 
 
+def test_construct_cliques_reports_no_partition(capsys):
+    argv = ["construct", "cliques", "--n-vertices", "5", "--k", "1", "--max-clique", "2"]
+    assert run(capsys, argv) == (2, "", "no clique-union coloring found\n")
+
+
+def test_closed_stdout_exits_without_traceback():
+    # A child process, so that the flush at exit shows. PYTHONUNBUFFERED is
+    # unset: an unbuffered write to a closed pipe ends short without an error.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = ["construct", "random", "--n-vertices", "300", "--k", "4"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "cmstruct.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": src},
+    ) as child:
+        assert child.stdout.readline().startswith(b"# cmstruct construct random")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 1
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -457,6 +482,16 @@ def test_ramsey_command(capsys):
     assert "avoider on K_4:" in out
     assert "p cm 4 2" in out
 
+    # A spent budget reports the lower bound and the largest avoider found.
+    code, out, _ = run(
+        capsys, ["ramsey", "--k", "2", "--n", "8", "--max", "12", "--budget", "1000"]
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert "R_cm(2, 8) >= 11 (not certified)" in lines
+    assert "avoider on K_10:" in lines
+    assert "p cm 10 2" in lines
+
 
 @pytest.mark.parametrize(
     "extra, message",
@@ -507,9 +542,10 @@ def test_audit_refuses_bad_k_before_output(tmp_path, capsys, k):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", "--bogus"])
-    assert exc.value.code == 1
+    for argv in (["decompose", "--bogus"], ["search", "--k", "abc"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_parser_is_built_once():

@@ -6,8 +6,8 @@ import pytest
 from cmstruct import (
     AuditParams,
     EdgeColoring,
-    F_graph,
     Graph,
+    SQIPartition,
     audit_coloring,
     VertexClass,
     check_F_inequality,
@@ -19,6 +19,7 @@ from cmstruct import (
     disjoint_union,
     f_graph,
     f_vertex,
+    path_graph,
     star_graph,
 )
 from cmstruct import matching as matching_module
@@ -73,11 +74,28 @@ def test_f_vertex_examples():
     assert values == {0: Fraction(3, 2)}
 
 
-def test_f_vertex_rejects_bad_partitions():
-    g = star_graph(3)
-    parts = component_partitions(complete_graph(3), 4)
-    with pytest.raises(InvalidPartitionError):
-        f_vertex(g, 4, parts)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda parts: [SQIPartition(frozenset(), frozenset(), frozenset(), 4)],
+         "empty partition"),
+        (lambda parts: component_partitions(complete_graph(3), 4),
+         "partition set is not a component"),
+        (lambda parts: parts + [parts[1]], "partitions overlap"),
+        (lambda parts: parts[:1], "partitions do not cover the graph"),
+        # The star with every vertex in Q.
+        (lambda parts: [SQIPartition(frozenset(), frozenset(range(4)), frozenset(), 4),
+                        parts[1]],
+         "partition fails: size-equality, q-bound, s-vs-i"),
+    ],
+    ids=["empty", "not-a-component", "overlap", "uncovered", "fails-conditions"],
+)
+def test_f_vertex_rejects_bad_partitions(bad, message):
+    g = disjoint_union([star_graph(3), path_graph(2)])
+    parts = component_partitions(g, 4)
+    with pytest.raises(InvalidPartitionError) as exc:
+        f_vertex(g, 4, bad(parts))
+    assert str(exc.value) == message
 
 
 def test_check_f_examples():
@@ -153,7 +171,6 @@ def test_classify_rejects_monochromatic_cm():
 
 def test_F_examples():
     g, coloring = star_triangle()
-    assert F_graph(g, coloring, 4) == 6
     values = check_F_inequality(g, coloring, 4)[1].per_vertex
     assert values[3] == Fraction(3, 4)
     assert values[0] == Fraction(3, 2)
@@ -166,8 +183,8 @@ def test_F_examples():
 def test_F_reduces_to_f_for_one_color():
     g = complete_graph(3)
     coloring = EdgeColoring(1, {e: 1 for e in g.edges})
-    assert F_graph(g, coloring, 4) == f_graph(g, 4)
     holds, ledger = check_F_inequality(g, coloring, 4)
+    assert ledger.total == f_graph(g, 4)
     assert ledger.per_vertex == f_vertex(g, 4, component_partitions(g, 4))
     assert holds and ledger.vertex_sum == ledger.total == Fraction(3, 2)
 
@@ -207,14 +224,14 @@ def test_additivity_and_dominance_on_random_instances():
     for _ in range(60):
         n = rng.choice((4, 6))
         g, coloring = avoiding_coloring(rng, rng.randint(4, 12), rng.randint(1, 4), n)
-        total = F_graph(g, coloring, n)
+        ledger = check_F_inequality(g, coloring, n)[1]
+        total, values = ledger.total, ledger.per_vertex
         parts = sum(
             (f_graph(color_class(g, coloring, i), n)
              for i in range(1, coloring.color_count + 1)),
             Fraction(0),
         )
         assert total == parts
-        values = check_F_inequality(g, coloring, n)[1].per_vertex
         assert all(v >= 0 for v in values.values())
         # per-vertex dominance: F(v) <= sum over colors of f_i(v)
         per_color = [

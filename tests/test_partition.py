@@ -86,6 +86,13 @@ def test_verify_flags_constructed_violations():
     bad = SQIPartition(frozenset({0}), frozenset({1, 2}), frozenset({3}), 4)
     report = verify_sqi(g, 4, bad)
     assert not {c.name: c for c in report.checks}["size-equality"].passed
+    # the center in Q with two neighbors in I, and |Q| + 2|S| = n - 2
+    bad = SQIPartition(frozenset(), frozenset({0, 3}), frozenset({1, 2}), 4)
+    failed = verify_sqi(g, 4, bad).failed()
+    assert [(c.name, c.witness) for c in failed] == [
+        ("size-equality", None),
+        ("q-neighbors", (0,)),
+    ]
 
 
 def test_edge_bound_examples():
