@@ -62,7 +62,7 @@ def small_components_bound(
 @dataclass(frozen=True)
 class AuditParams:
     """Parameters of the dense-coloring setting: k colors, slack epsilon,
-    density deficit delta, matching target n; alpha = 1/2 - epsilon."""
+    density deficit delta, matching target n."""
 
     k: int
     epsilon: Fraction
@@ -76,10 +76,6 @@ class AuditParams:
             raise ValueError("n must be at least 2")
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         object.__setattr__(self, "delta", Fraction(self.delta))
-
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(1, 2) - self.epsilon
 
     @property
     def delta_cap(self) -> Fraction:

@@ -97,11 +97,19 @@ def _emit_graph(
     out: str | None,
     dot: str | None = None,
 ) -> None:
+    """Write the coloring to ``out``, else all of it to stdout or raise: under
+    ``PYTHONUNBUFFERED`` a raw write into a closing pipe can end short."""
     text = "".join(f"# {line}\n" for line in header) + graphs.serialize(g, coloring)
+    binary = getattr(sys.stdout, "buffer", None)
     if out:
         _write(out, text)
-    else:
+    elif binary is None:  # an in-memory text stream
         sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:  # a raw write returns the count it wrote
+            data = data[binary.write(data) :]
     if dot:
         _write(dot, graphs.to_dot(g, coloring))
 
@@ -133,8 +141,7 @@ def _cmd_decompose(args) -> int:
             print(f"  {name} = {_fmt_set(members)}")
             for v in members:
                 all_classes[v] = name
-        core = [c for c in report.checks if c.name in
-                ("partition", "size-equality", "independence", "q-neighbors", "i-degree")]
+        core = [c for c in report.checks if c.name in partition._CONDITION_CHECKS]
         derived = [c for c in report.checks if c not in core]
         core_ok = all(c.passed for c in core)
         derived_ok = all(c.passed for c in derived)
@@ -349,8 +356,7 @@ def _cmd_ramsey(args) -> int:
     if result.avoider is not None and result.lower_bound >= 2:
         size = result.lower_bound - 1
         print(f"avoider on K_{size}:")
-        g = graphs.complete_graph(size)
-        sys.stdout.write(graphs.serialize(g, result.avoider))
+        _emit_graph(graphs.complete_graph(size), result.avoider, [], None)
     return EXIT_OK if result.status == "exact" else EXIT_BUDGET
 
 

@@ -50,7 +50,6 @@ class LossLedger:
     object too.
     """
 
-    mode: str  # "single" or "multi"
     n: int
     per_vertex: Mapping[int, Fraction]
     total: Fraction
@@ -107,10 +106,7 @@ def f_vertex(
     if covered != set(range(g.vertex_count)):
         raise InvalidPartitionError("partitions do not cover the graph")
 
-    values = {
-        v: c.loss(n, 1, g.degree(v))
-        for v, c in _classify(g, {1: tuple(partitions)}).items()
-    }
+    values = _ledger(g, n, {1: tuple(partitions)}, {1: _loss(g, n)}).per_vertex
     assert all(x >= 0 for x in values.values())
     return values
 
@@ -122,16 +118,10 @@ def check_f_inequality(g: Graph, n: int) -> tuple[bool, LossLedger]:
     input; callers should treat it as fatal.
     """
     total = f_graph(g, n)
-    parts = component_partitions(g, n)
-    values = f_vertex(g, n, parts)
-    classes = {}
-    for p in parts:
-        for v in p.vertices:
-            classes[v] = p.class_of(v)
-    ledger = LossLedger(
-        "single", n, values, total, classes, {1: tuple(parts)}, {1: total}
-    )
-    return ledger.vertex_sum <= total, ledger
+    parts = tuple(component_partitions(g, n))
+    # At k = 1 the strong, Q-saturated and small vertices are S, Q and I.
+    ledger = _ledger(g, n, {1: parts}, {1: total}, dict(zip(VertexClass, "SQI")))
+    return ledger.vertex_sum <= ledger.total, ledger
 
 
 def classify_vertices(
@@ -191,20 +181,27 @@ def _classify(
 def check_F_inequality(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> tuple[bool, LossLedger]:
-    """Multicolor analogue of check_f_inequality; the per-vertex values
-    come from ``VertexClass.loss``."""
-    partitions, losses = _color_analysis(g, coloring, n)
+    """Multicolor analogue of check_f_inequality."""
+    ledger = _ledger(g, n, *_color_analysis(g, coloring, n))
+    return ledger.vertex_sum <= ledger.total, ledger
+
+
+def _ledger(
+    g: Graph,
+    n: int,
+    partitions: Mapping[int, tuple[SQIPartition, ...]],
+    color_losses: Mapping[int, Fraction],
+    names: Mapping[VertexClass, str] | None = None,
+) -> LossLedger:
+    """Every loss ledger: ``_classify``'s classes, priced by ``VertexClass.loss``
+    and named by ``names`` (default: their value), and ``_loss`` as total."""
+    k = len(partitions)
     classes = _classify(g, partitions)
-    k = coloring.color_count
-    values = {v: c.loss(n, k, g.degree(v)) for v, c in classes.items()}
-    total = _loss(g, n, k)
-    ledger = LossLedger(
-        "multi",
+    return LossLedger(
         n,
-        values,
-        total,
-        {v: c.value for v, c in classes.items()},
+        {v: c.loss(n, k, g.degree(v)) for v, c in classes.items()},
+        _loss(g, n, k),
+        {v: names[c] if names else c.value for v, c in classes.items()},
         partitions,
-        losses,
+        color_losses,
     )
-    return ledger.vertex_sum <= total, ledger

@@ -39,15 +39,6 @@ class SQIPartition:
     def vertices(self) -> frozenset[int]:
         return self.S | self.Q | self.I
 
-    def class_of(self, v: int) -> str:
-        if v in self.S:
-            return "S"
-        if v in self.Q:
-            return "Q"
-        if v in self.I:
-            return "I"
-        raise KeyError(v)
-
     def relabel(self, ids: Sequence[int] | Mapping[int, int]) -> SQIPartition:
         """The same partition with every vertex ``v`` renamed ``ids[v]``:
         ``ids`` is ``Graph.induced``'s id tuple (subgraph to host ids) or an
@@ -114,6 +105,13 @@ def _sqi_partition(
     # at most one I neighbor per vertex.
     q.update(independent[:move])
     return SQIPartition(frozenset(s), frozenset(q), frozenset(independent[move:]), n)
+
+
+# verify_sqi's checks of the partition and of conditions 1-4; the rest are
+# derived bounds.
+_CONDITION_CHECKS = (
+    "partition", "size-equality", "independence", "q-neighbors", "i-degree"
+)
 
 
 def verify_sqi(g: Graph, n: int, p: SQIPartition) -> PartitionReport:

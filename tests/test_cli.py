@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import os
 import shlex
 import subprocess
@@ -94,6 +96,25 @@ def test_loss_check_triangle(tmp_path, capsys):
     assert "f(G) = 3/2" in out
     assert "sum f(v) = 3/2" in out
     assert "single-color loss bound: HOLDS (equality)" in out
+
+
+def test_loss_check_single_color_machine_lines(tmp_path, capsys):
+    # The star K_{1,3}: its center is S, one leaf is moved into Q.
+    path = tmp_path / "star.g"
+    path.write_text("p cm 4 1\ne 0 1 1\ne 0 2 1\ne 0 3 1\n")
+    code, out, err = run(
+        capsys, ["loss-check", "--n", "4", "--input", str(path), "--machine"]
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "f(G) = 3",
+        "sum f(v) = 7/4",
+        "single-color loss bound: HOLDS",
+        "v 0 S 3/4",
+        "v 1 Q 1/1",
+        "v 2 I 0/1",
+        "v 3 I 0/1",
+    ]
 
 
 def test_loss_check_machine_lines(tmp_path, capsys):
@@ -326,16 +347,37 @@ def test_construct_random_header_carries_seed(capsys):
     assert out2 == out  # byte-identical for identical argv and seed
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "random", "--n-vertices", "40", "--k", "3"],
+        ["ramsey", "--k", "2", "--n", "4", "--max", "6"],
+    ],
+    ids=["construct", "ramsey"],
+)
+def test_graph_output_is_the_same_on_an_in_memory_stdout(capsys, argv):
+    # capsys's stdout has a binary layer; io.StringIO has none.
+    expected = run(capsys, argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert (code, out.getvalue(), capsys.readouterr().err) == expected
+
+
 def test_construct_cliques_reports_no_partition(capsys):
     argv = ["construct", "cliques", "--n-vertices", "5", "--k", "1", "--max-clique", "2"]
     assert run(capsys, argv) == (2, "", "no clique-union coloring found\n")
 
 
-def test_closed_stdout_exits_without_traceback():
-    # A child process, so that the flush at exit shows. PYTHONUNBUFFERED is
-    # unset: an unbuffered write to a closed pipe ends short without an error.
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_without_traceback(unbuffered):
+    # A child process, so that the flush at exit shows. Under
+    # PYTHONUNBUFFERED a write into a pipe whose reader closes can end short
+    # without an error; the rest must not be dropped silently.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     argv = ["construct", "random", "--n-vertices", "300", "--k", "4"]
     with subprocess.Popen(
         [sys.executable, "-m", "cmstruct.cli", *argv],

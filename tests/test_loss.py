@@ -188,6 +188,23 @@ def test_F_reduces_to_f_for_one_color():
     assert ledger.per_vertex == f_vertex(g, 4, component_partitions(g, 4))
     assert holds and ledger.vertex_sum == ledger.total == Fraction(3, 2)
 
+    # The k = 1 ledgers agree, with the classes named after S, Q and I.
+    names = {"strong": "S", "q-saturated": "Q", "small": "I"}
+    rng = random.Random(21)
+    graphs = [star_graph(3)] + [avoiding_graph(rng, 6) for _ in range(40)]
+    seen = set()
+    for g in graphs:
+        coloring = EdgeColoring(1, {e: 1 for e in g.edges})
+        holds_F, multi = check_F_inequality(g, coloring, 6)
+        holds_f, single = check_f_inequality(g, 6)
+        assert holds_F == holds_f
+        assert multi.total == single.total
+        assert multi.per_vertex == single.per_vertex
+        assert multi.color_losses == single.color_losses
+        assert {v: names[c] for v, c in multi.classes.items()} == single.classes
+        seen.update(single.classes.values())
+    assert seen == {"S", "Q", "I"}
+
 
 @pytest.mark.parametrize(
     "analysis",
@@ -257,6 +274,8 @@ def test_random_single_color_suite():
         assert holds
         assert all(v >= 0 for v in ledger.per_vertex.values())
         assert ledger.total >= 0
+        # f_vertex re-verifies the partitions the ledger was built from.
+        assert ledger.per_vertex == f_vertex(g, n, ledger.partitions[1])
 
 
 def test_random_multicolor_suite():
