@@ -38,16 +38,26 @@ size <= nu <= bound throughout:
   component, where it finds an augmenting path iff one exists, and it
   repeats until it fails (the bound drops to the size) or the size reaches
   n/2: at most n/2 - size + 1 searches.
+- A trigger that only has to decide, because one augmenting path reaches
+  n/2 (the stored size is n/2 - 1, as at every tight trigger), first
+  probes the short augmenting paths through uv
+  (``_short_augmenting_path``): u-v-mate(v)-x with u and x exposed, or
+  x-mate(u)-u-v-mate(v)-y with x and y exposed. Any path it finds is
+  augmenting, so a hit proves nu >= n/2 and prunes with no forest search
+  and no write. A miss proves nothing, and the searches above run as they
+  would without the probe. The verdict is nu either way, so the search
+  tree is unchanged.
 
 So the branch is viable iff the stored size stays below n/2, and the edge
-is decided before anything is committed. The stored sizes and the
-exposed-pair test alone prune most edges, with no write at all. Only a
-prune trigger appends uv to the adjacency and runs its searches, and the
-search that would reach n/2 only finds its path without flipping it; a
-pruned trigger then pops the appends and the flips of the searches before
-it. A viable edge is committed: its component merge, and one trail entry
-from which ``remove`` restores everything in strict LIFO order. So a pruned
-node leaves no trace and needs no undo.
+is decided before anything is committed. The stored sizes, the
+exposed-pair test and the probe alone prune most edges, with no write at
+all. Only a trigger that the probe leaves open appends uv to the
+adjacency and runs its searches, and the search that would reach n/2 only
+finds its path without flipping it; a pruned trigger then pops the
+appends and the flips of the searches before it. A viable edge is
+committed: its component merge, and one trail entry from which ``remove``
+restores everything in strict LIFO order. So a pruned node leaves no trace
+and needs no undo.
 
 The components are kept as per-vertex root labels with member lists, so a
 lookup is one read; a merge relabels the smaller list, and its removal
@@ -68,8 +78,8 @@ capped at n/2 and is read only at a prune trigger:
   the edge commits with bound = size. The final, failed search of the
   memo-less run is skipped; it would flip nothing, so the state is the
   same. A known nu equal to the stored size runs no search at all.
-- Otherwise the searches run as without the memo, and a key not yet known
-  gets their outcome.
+- Otherwise the probe and the searches run as without the memo, and a key
+  not yet known gets their outcome (n/2 for a probe hit).
 
 So verdicts, node counts and avoiders are those of the search without the
 memo. With at most two colors, edge 0 has color 1 and every other edge
@@ -167,6 +177,32 @@ class RamseyResult:
     nodes: int
 
 
+def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
+                           mate: list[int], u: int, v: int) -> bool:
+    """Whether the non-edge uv, whose ends are not both exposed, closes an
+    augmenting path of length 3 or 5 for the matching ``mate`` of ``adj``:
+    u-v-mate(v)-x with u and x exposed (or the same with u and v swapped),
+    or x-mate(u)-u-v-mate(v)-y with x and y exposed. Reads only. A True is
+    a proof, as every such path is augmenting; a False proves nothing."""
+    mu, mv = mate[u], mate[v]
+    if mu == -1:
+        for x in adj[mv]:
+            if mate[x] == -1 and x != u:
+                return True
+        return False
+    if mv == -1:
+        for y in adj[mu]:
+            if mate[y] == -1 and y != v:
+                return True
+        return False
+    for x in adj[mu]:
+        if mate[x] == -1:
+            for y in adj[mv]:
+                if mate[y] == -1 and y != x:
+                    return True
+    return False
+
+
 class _ColorMatching:
     """One color class of the search: its components, its adjacency and a
     stored matching.
@@ -244,6 +280,14 @@ class _ColorMatching:
                     return False
                 if known >= 0:
                     key = 0
+            # One augmenting path would reach the target (u and v are not
+            # both exposed, or the exposed-pair test would have pruned), so
+            # a short one through uv decides without a forest search.
+            if (known < 0 and size + 1 == target
+                    and _short_augmenting_path(self.adj, mate, u, v)):
+                if key and len(memo) < self.memo_cap:
+                    memo[key] = target
+                return False
         adj, flips = self.adj, self.flips
         mark = len(flips)
         adj[u].append(v)

@@ -24,7 +24,9 @@ from cmstruct import (
     complete_graph,
     disjoint_union,
     find_mono_cm,
+    matching_number,
     max_connected_matching,
+    maximum_matching,
     path_graph,
     ramsey_cm,
     search_avoider,
@@ -35,7 +37,11 @@ from cmstruct import search as search_module
 from cmstruct.errors import OddNError
 
 from .generators import random_graph
-from .oracles import brute_has_mono_cm, brute_max_connected_matching
+from .oracles import (
+    brute_has_mono_cm,
+    brute_matching_number,
+    brute_max_connected_matching,
+)
 
 
 def test_max_connected_matching_examples():
@@ -180,9 +186,28 @@ def test_search_finds_affine_type_avoider(monkeypatch):
     assert result.status == FOUND
     assert result.nodes == 782_094
     assert find_mono_cm(complete_graph(9), result.coloring, 4) is None
-    # Every blossom search decides a key that the memo has not seen, once:
-    # 5,710 searches where the memo-less search runs 231,414.
-    assert len(searches) <= len(searcher.memo) == 5_710
+    # Each key the memo has not seen is decided once, by the short-path
+    # probe or by a blossom search: 5,710 keys and 1,546 searches, where
+    # the memo-less search runs 72,101 (231,414 without the probe).
+    assert len(searches) == 1_546
+    assert len(searcher.memo) == 5_710
+
+
+def test_short_path_probe_saves_blossom_searches(monkeypatch):
+    # On K_11 with k = 2, n = 8 the short-path probe decides over half the
+    # prune triggers: without it the same 20,000 nodes run 17,654 blossom
+    # searches.
+    searches = []
+    real_augment = search_module._Forest.augment
+
+    def counting_augment(forest, *args):
+        searches.append(None)
+        return real_augment(forest, *args)
+
+    monkeypatch.setattr(search_module._Forest, "augment", counting_augment)
+    result = search_avoider(SearchConfig(11, 2, 8, node_budget=20_000))
+    assert result == SearchResult(BUDGET_EXHAUSTED, None, 20_000)
+    assert len(searches) == 8_229
 
 
 def test_budget_exhaustion_is_distinct():
@@ -468,6 +493,10 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     shape calls for, a pruned edge must leave no trace, and a full unwind
     must restore the initial state.
 
+    A trigger that only has to decide first probes the short augmenting
+    paths through the new edge: a hit must prune with no blossom search,
+    and a miss must fall back to the searches.
+
     A twin set of classes that shares one matching-number memo takes the
     same walk: after every add and remove its verdict and state must equal
     those of the memo-less set."""
@@ -482,8 +511,18 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
         )
         return found
 
+    probes = []  # the outcome of each short-path probe
+    real_probe = search_module._short_augmenting_path
+
+    def recording_probe(adj, mate, u, v):
+        probes.append(real_probe(adj, mate, u, v))
+        return probes[-1]
+
     monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
+    monkeypatch.setattr(search_module, "_short_augmenting_path", recording_probe)
     hits = collections.Counter()
+    probe_hits = collections.Counter()
+    probe_misses = 0
     memo_hits = collections.Counter()
     rng = random.Random(size)
     edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
@@ -529,16 +568,23 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                     shape, ends, exposed, matched = _expected_trigger(
                         classes[color], *edges[idx]
                     )
+                    u, v = edges[idx]
+                    pair = classes[color].mate[u] == classes[color].mate[v] == -1
                     searches.clear()
+                    probes.clear()
                     before = _kernel_state(classes)
-                    viable = classes[color].add(*edges[idx], idx)
+                    viable = classes[color].add(u, v, idx)
                     kernel_searches = [search[1:] for search in searches]
+                    kernel_probes = list(probes)
                     searches.clear()
+                    probes.clear()
                     mask = memo_classes[color].mask
                     known = memo.get(mask | 1 << idx, -1) if 1 << idx > mask else -1
-                    assert memo_classes[color].add(*edges[idx], idx) == viable
+                    assert memo_classes[color].add(u, v, idx) == viable
                     assert _kernel_state(memo_classes) == _kernel_state(classes)
                     memo_searches = [search[1:] for search in searches]
+                    # The memo twin probes exactly where it misses.
+                    assert probes == (kernel_probes if known < 0 else [])
                     assert all(search[0] is memo_forest for search in searches)
                     if known < 0:
                         # A miss: the same searches run.
@@ -550,16 +596,36 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                         # final, failed search does not run.
                         assert not kernel_searches[-1][1]
                         assert memo_searches == kernel_searches[:-1]
-                    if kernel_searches and not memo_searches:
+                    if (kernel_searches or kernel_probes) and not (
+                        memo_searches or probes
+                    ):
                         memo_hits["commit" if viable else "prune"] += 1
                     cls = Graph.from_edges(
                         size,
                         [edges[i] for i in stack if color_of[i] == color]
                         + [edges[idx]],
                     )
-                    assert viable == (max_connected_matching(cls)[0] < n // 2)
+                    fresh = max_connected_matching(cls)[0]
+                    assert viable == (fresh < n // 2)
                     if size <= 7:
                         assert viable == (brute_max_connected_matching(cls) < n // 2)
+                    if kernel_probes:
+                        # Only a trigger that has to decide probes, once.
+                        [hit] = kernel_probes
+                        assert not pair and matched + 1 == n // 2
+                        if hit:
+                            # The hit prunes alone, where the fresh matching
+                            # number reaches the target.
+                            assert not kernel_searches and not viable
+                            assert fresh >= n // 2
+                            probe_hits[shape] += 1
+                        else:
+                            # A miss falls back to a deciding search.
+                            assert kernel_searches and not kernel_searches[0][2]
+                            probe_misses += 1
+                    elif kernel_searches and not pair:
+                        # A trigger that skips the probe has flips to make.
+                        assert kernel_searches[0][2]
                     if kernel_searches:
                         hits[shape] += 1
                         roots = kernel_searches[0][0]
@@ -598,10 +664,44 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                 assert f.parent == [-1] * size
                 assert f.base == list(range(size))
                 assert not any(f.even + f.seen + f.in_blossom)
-    # The walks reach every trigger shape, and the memo answers some
-    # triggers in place of the searches, both ways.
+    # The walks reach every trigger shape, the probe decides both tight
+    # shapes and misses too, and the memo answers some triggers in place of
+    # a probe or a search, both ways.
     assert len(hits) == 3, hits
+    tight = {"tight, exposed end", "tight, both ends matched"}
+    assert tight <= set(probe_hits), probe_hits
+    assert probe_misses > 0
     assert set(memo_hits) == {"commit", "prune"}, memo_hits
+
+
+def test_short_path_probe_is_sound():
+    """On a graph with a stored maximum matching, a probe hit on a non-edge
+    uv, not between two exposed vertices, must mean that uv raises the
+    matching number. Both path lengths are found, and some rises are
+    missed: those need the blossom search."""
+    rng = random.Random(0)
+    outcomes = collections.Counter()
+    for _ in range(200):
+        size = rng.randint(4, 10)
+        g = random_graph(rng, size, rng.uniform(0.15, 0.5))
+        mate = [-1] * size
+        for a, b in maximum_matching(g).edges:
+            mate[a], mate[b] = b, a
+        nu = matching_number(g)
+        for u, v in itertools.combinations(range(size), 2):
+            if g.has_edge(u, v) or mate[u] == mate[v] == -1:
+                continue
+            hit = search_module._short_augmenting_path(g.adjacency, mate, u, v)
+            plus = Graph.from_edges(size, [*g.edges, (u, v)])
+            rises = matching_number(plus) == nu + 1
+            if size <= 7:
+                assert rises == (brute_matching_number(plus) == nu + 1)
+            assert rises or not hit, (g.edges, u, v)
+            if hit:
+                outcomes["length 3" if -1 in (mate[u], mate[v]) else "length 5"] += 1
+            elif rises:
+                outcomes["missed"] += 1
+    assert set(outcomes) == {"length 3", "length 5", "missed"}, outcomes
 
 
 def test_known_matching_number_ends_the_searches(monkeypatch):
