@@ -9,10 +9,12 @@ always on: colors are canonicalized by first use (color i+1 may first
 appear only after color i), and the colors along the star at vertex 0 are
 required to be non-decreasing, since any coloring can be brought to that
 shape by permuting the other vertices and then renaming colors by first
-use. So the walk offers at most one color beyond those it has used, and a
-color class is built only when its color is first offered. The result (its
-status, node count and avoider) is deterministic and never depends on the
-worker count.
+use. So each edge tries one range of colors, from its star predecessor's
+color (or 1) up to one beyond the largest used before it, and a color
+class is built only when its color is first offered. ``_Searcher._symmetry``
+states both rules as two ints, which the walk reads on every descent with
+no call. The result (its status, node count and avoider) is deterministic
+and never depends on the worker count.
 
 The prune test is incremental and gives the same verdict as a fresh
 matching: a branch dies iff the component that the new edge joins in its
@@ -24,7 +26,8 @@ size <= nu <= bound throughout:
 - Adding one edge raises nu by at most one, so an edge merging components
   A and B gets bound(A) + bound(B) + 1, an edge inside one component gets
   bound + 1, and either is capped at half the component's order.
-- If both ends are exposed they are matched at once.
+- If both ends are exposed they are matched at once. This match is
+  recorded as a flag of the edge's trail entry, not as mate flips.
 - Only when bound >= n/2 > size does the search look further, with an
   Edmonds forest search for an augmenting path (``matching._Forest``).
   If every merged part was tight (bound == size) before the edge uv, the
@@ -54,10 +57,12 @@ exposed-pair test and the probe alone prune most edges, with no write at
 all. Only a trigger that the probe leaves open appends uv to the
 adjacency and runs its searches, and the search that would reach n/2 only
 finds its path without flipping it; a pruned trigger then pops the
-appends and the flips of the searches before it. A viable edge is
-committed: its component merge, and one trail entry from which ``remove``
-restores everything in strict LIFO order. So a pruned node leaves no trace
-and needs no undo.
+appends and the flips of the searches before it, and unmatches an
+exposed pair. A viable edge is committed: its component merge, and one
+trail entry from which ``remove`` restores everything in strict LIFO
+order. ``remove`` rewinds flips only where the edge's searches made some,
+then unmatches the exposed pair. So a pruned node leaves no trace and
+needs no undo.
 
 The components are kept as per-vertex root labels with member lists, so a
 lookup is one read; a merge relabels the smaller list, and its removal
@@ -217,9 +222,15 @@ class _ColorMatching:
     with uv (None for no memo) with room for ``memo_cap`` entries; every
     color class of one search shares both.
 
+    ``flips`` logs the mates that the blossom searches overwrite, as
+    (vertex, old mate). The match of an exposed pair is not logged there:
+    the edge's trail entry flags it.
+
     ``add`` decides before it commits: a pruned edge leaves every field as
     it found it, and a viable one pushes exactly one trail entry, which
-    ``remove`` pops in strict LIFO order.
+    ``remove`` pops in strict LIFO order. ``remove`` rewinds ``flips`` to
+    the entry's mark, only if the searches logged past it, and then
+    unmatches u and v if the entry flags an exposed pair.
     """
 
     __slots__ = ("root", "members", "adj", "mate", "matched", "bound",
@@ -237,8 +248,8 @@ class _ColorMatching:
         self.target = target
         self.mask = 0
         # Per add: root, absorbed root or -1, old matched/bound, flips mark,
-        # old mask.
-        self.trail: list[tuple[int, int, int, int, int, int]] = []
+        # old mask, and whether u and v were matched as an exposed pair.
+        self.trail: list[tuple[int, int, int, int, int, int, bool]] = []
         self.flips: list[tuple[int, int]] = []
         self.forest = forest
         self.memo = memo
@@ -293,8 +304,6 @@ class _ColorMatching:
         adj[u].append(v)
         adj[v].append(u)
         if exposed_pair:
-            flips.append((u, -1))
-            flips.append((v, -1))
             mate[u] = v
             mate[v] = u
             size += 1
@@ -326,6 +335,8 @@ class _ColorMatching:
                     adj[u].pop()
                     adj[v].pop()
                     self._rewind(mark)
+                    if exposed_pair:
+                        mate[u] = mate[v] = -1
                     return False
             cap = size
         if rb >= 0:
@@ -333,8 +344,11 @@ class _ColorMatching:
             for w in members[rb]:
                 root[w] = ra
             members[ra].extend(members[rb])
-        self.trail.append((ra, rb, matched[ra], bound[ra], mark, self.mask))
-        self.mask |= 1 << idx
+        mask = self.mask
+        self.trail.append(
+            (ra, rb, matched[ra], bound[ra], mark, mask, exposed_pair)
+        )
+        self.mask = mask | 1 << idx
         matched[ra] = size
         bound[ra] = cap
         return True
@@ -354,8 +368,12 @@ class _ColorMatching:
 
     def remove(self, u: int, v: int) -> None:
         """Undo the latest committed ``add``, which must have been of edge uv."""
-        ra, rb, size, cap, mark, self.mask = self.trail.pop()
-        self._rewind(mark)
+        ra, rb, size, cap, mark, self.mask, pair = self.trail.pop()
+        if len(self.flips) > mark:
+            self._rewind(mark)
+        if pair:
+            mate = self.mate
+            mate[u] = mate[v] = -1
         self.matched[ra] = size
         self.bound[ra] = cap
         self.adj[u].pop()
@@ -377,7 +395,10 @@ class _Searcher:
         self.edge_list = [
             (u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)
         ]
+        self.tails = [u for u, _ in self.edge_list]
+        self.heads = [v for _, v in self.edge_list]
         self.color_of = [0] * len(self.edge_list)
+        self.star_last, self.fresh = self._symmetry()
         self.forest = _Forest(n_vertices)
         # With at most two colors no memo key repeats within one search.
         self.memo: dict[int, int] | None = {} if cfg.color_count >= 3 else None
@@ -390,82 +411,100 @@ class _Searcher:
         self.exhausted = False
         self.prefix = prefix
 
-    def _offer(self, colors: range) -> range:
-        """Build the color classes up to the largest of ``colors``."""
-        while len(self.adds) < colors.stop:
+    def _symmetry(self) -> tuple[int, int]:
+        """The two symmetry rules of the module docstring as ``(star_last,
+        fresh)``: the colors of the star edges 0..``star_last`` at vertex 0
+        are non-decreasing, and an edge offers at most ``fresh`` colors
+        beyond the largest used before it."""
+        return self.cfg.vertex_count - 2, 1
+
+    def _offer(self, hi: int) -> int:
+        """Build the color classes up to color ``hi``; return how many
+        there are."""
+        while len(self.adds) <= hi:
             cls = _ColorMatching(self.cfg.vertex_count, self.cfg.n // 2,
                                  self.forest, self.memo, self.memo_cap)
             self.adds.append(cls.add)
             self.removes.append(cls.remove)
-        return colors
-
-    def _choices(self, idx: int, max_used: int) -> range:
-        """Colors for edge ``idx``: by first use, and non-decreasing along
-        the star at vertex 0, whose edges are 0..N-2."""
-        lo = self.color_of[idx - 1] if 1 <= idx <= self.cfg.vertex_count - 2 else 1
-        return range(lo, min(self.cfg.color_count, max_used + 1) + 1)
+        return len(self.adds) - 1
 
     def _dfs(self, idx: int, max_used: int, end: int) -> Iterator[tuple[int, ...]]:
         """Yield each viable assignment of the edges below ``end``, given
         the edges below ``idx``; the yielded one is still applied.
 
         Iterative, as the depth is one level per edge: K_46 alone has 1,035.
-        ``stack`` holds, per shallower edge, its untried colors and the
-        largest color used before it. ``self.nodes`` is exact at every yield
-        and exit; when the budget runs out the walk sets ``self.exhausted``
-        and ends.
+        Edge ``idx`` tries the colors ``color``..``hi``, the range that the
+        symmetry rules of ``_symmetry`` leave it. ``stack`` holds, per
+        shallower edge, its ``hi`` and the largest color used before it; its
+        current color is in ``color_of``. ``self.nodes`` is exact at every
+        yield and exit; when the budget runs out the walk sets
+        ``self.exhausted`` and ends.
         """
         color_of, adds, removes = self.color_of, self.adds, self.removes
-        tails = [u for u, _ in self.edge_list]
-        heads = [v for _, v in self.edge_list]
+        tails, heads = self.tails, self.heads
         if idx == end:
             yield tuple(color_of[:end])
             return
         budget = self.cfg.node_budget
+        colors, star_last, fresh = self.cfg.color_count, self.star_last, self.fresh
         nodes = self.nodes
-        stack: list[tuple[Iterator[int], int]] = []
-        choices = iter(self._offer(self._choices(idx, max_used)))
+        built = len(adds) - 1  # the colors whose classes exist
+        stack: list[tuple[int, int]] = []
+        color = color_of[idx - 1] if 1 <= idx <= star_last else 1
+        hi = min(max_used + fresh, colors)
+        if hi > built:
+            built = self._offer(hi)
         try:
             while True:
-                color = next(choices, 0)
-                if color == 0:  # colors start at 1: this edge has none left
+                if color > hi:  # this edge has no color left
                     if not stack:
                         return
-                    choices, max_used = stack.pop()
+                    hi, max_used = stack.pop()
                     idx -= 1
-                    removes[color_of[idx]](tails[idx], heads[idx])
+                    color = color_of[idx]
+                    removes[color](tails[idx], heads[idx])
                     color_of[idx] = 0
+                    color += 1
                     continue
                 if nodes >= budget:
                     self.exhausted = True
                     return
                 nodes += 1
                 if not adds[color](tails[idx], heads[idx], idx):
-                    continue  # pruned: nothing was applied
+                    color += 1  # pruned: nothing was applied
+                    continue
                 color_of[idx] = color
                 if idx + 1 < end:
-                    stack.append((choices, max_used))
-                    max_used = max(max_used, color)
+                    stack.append((hi, max_used))
+                    if color > max_used:
+                        max_used = color
                     idx += 1
-                    choices = iter(self._offer(self._choices(idx, max_used)))
+                    # A star edge starts at its predecessor's color.
+                    if idx > star_last:
+                        color = 1
+                    hi = max_used + fresh
+                    if hi > colors:
+                        hi = colors
+                    if hi > built:
+                        built = self._offer(hi)
                     continue
                 self.nodes = nodes
                 yield tuple(color_of[:end])
                 removes[color](tails[idx], heads[idx])
                 color_of[idx] = 0
+                color += 1
         finally:
             self.nodes = nodes
 
     def run(self) -> SearchResult:
         # Replay the prefix. It is a viable assignment of the same
         # deterministic walk, so every step applies again.
-        max_used = 0
+        max_used = max(self.prefix, default=0)
+        self._offer(max_used)
         for idx, color in enumerate(self.prefix):
-            self._offer(self._choices(idx, max_used))
-            applied = self.adds[color](*self.edge_list[idx], idx)
+            applied = self.adds[color](self.tails[idx], self.heads[idx], idx)
             assert applied, "a replayed prefix is viable"
             self.color_of[idx] = color
-            max_used = max(max_used, color)
         hit = next(self._dfs(len(self.prefix), max_used, len(self.edge_list)), None)
         if self.exhausted:
             return SearchResult(BUDGET_EXHAUSTED, None, self.nodes)

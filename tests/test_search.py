@@ -246,10 +246,11 @@ def test_pruning_safety_matches_unpruned_and_brute(in_process_pool, monkeypatch)
     }
     reduced = {shape: search_avoider(SearchConfig(*shape))
                for shape in [*small, *beyond_brute]}
+    # No star edge is ordered, and every color may be new.
     monkeypatch.setattr(
         search_module._Searcher,
-        "_choices",
-        lambda searcher, idx, max_used: range(1, searcher.cfg.color_count + 1),
+        "_symmetry",
+        lambda searcher: (0, searcher.cfg.color_count),
     )
     for shape in small:
         expected = _brute_avoider_exists(*shape)
@@ -260,8 +261,8 @@ def test_pruning_safety_matches_unpruned_and_brute(in_process_pool, monkeypatch)
         unreduced = search_avoider(SearchConfig(*shape))
         assert unreduced.status == reduced[shape].status, shape
         assert unreduced.nodes == nodes, shape
-    # The workers' prefix replay offers colors through the same _choices,
-    # here also colors that first use would never offer.
+    # The walker's star prefixes come from the same rules, here also with
+    # colors that first use would never offer, and the workers replay them.
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
     parallel = search_avoider(SearchConfig(6, 3, 4, threads=2))
     assert parallel == SearchResult(CERTIFIED_NONE, None, 20_172)
@@ -768,6 +769,49 @@ def test_remove_runs_once_per_committed_add(monkeypatch):
     assert committed == []
     assert counts["remove"] == counts["committed"] < counts["add"]
     assert (counts["add"], counts["committed"]) == (6_821, 2_294)
+
+
+@pytest.mark.parametrize("shape, nodes", [((6, 3, 4), 1_245),
+                                          ((8, 3, 4), 6_821),
+                                          ((8, 2, 6), 5_758)])
+def test_certified_search_unwinds_every_class(shape, nodes, monkeypatch):
+    # A certified search undoes every commit, so every class it built ends
+    # as a fresh one, with an empty trail and no flips. The undos include
+    # merges and exposed-pair matches, which the trail entry records.
+    undone = collections.Counter()
+    real_remove = search_module._ColorMatching.remove
+
+    def counting_remove(cls, u, v):
+        _, absorbed, _, _, _, _, pair = cls.trail[-1]
+        undone["merge"] += absorbed >= 0
+        undone["pair"] += pair
+        real_remove(cls, u, v)
+
+    monkeypatch.setattr(search_module._ColorMatching, "remove", counting_remove)
+    cfg = SearchConfig(*shape)
+    searcher = search_module._Searcher(cfg)
+    assert searcher.run() == SearchResult(CERTIFIED_NONE, None, nodes)
+    assert undone["merge"] > 0 and undone["pair"] > 0, undone
+    classes = [None] + [add.__self__ for add in searcher.adds[1:]]
+    assert len(classes) == 1 + cfg.color_count
+    fresh = search_module._ColorMatching(
+        cfg.vertex_count, cfg.n // 2, search_module._Forest(cfg.vertex_count)
+    )
+    assert _kernel_state(classes) == _kernel_state([None, fresh]) * cfg.color_count
+    assert all(not cls.trail and not cls.flips for cls in classes[1:])
+
+
+def test_search_budget_boundaries():
+    # Every node is charged once: the last color of an edge and the first
+    # color after a backtrack alike. Each budget below the full count of
+    # 1,245 nodes runs out after exactly that many; the full count certifies.
+    full = 1_245
+    for budget in range(1, full + 1):
+        result = search_avoider(SearchConfig(6, 3, 4, node_budget=budget))
+        if budget < full:
+            assert result == SearchResult(BUDGET_EXHAUSTED, None, budget), budget
+        else:
+            assert result == SearchResult(CERTIFIED_NONE, None, full)
 
 
 def test_search_memo_needs_three_colors_and_stays_within_its_cap(monkeypatch):
