@@ -206,13 +206,14 @@ def _cmd_classify(args) -> int:
 def _cmd_bounds_check(args) -> int:
     g, coloring = _load(args)
     print(f"# cmstruct bounds-check n={args.n} input={args.input}")
-    ok = True
-    holds, slack = bounds_mod.erdos_gallai_check(g, args.n)
-    print(
-        f"edge bound e <= (n-2)/2 v: {'HOLDS' if holds else 'VIOLATED'} "
-        f"(e = {g.edge_count}, slack = {_fmt(slack)})"
-    )
-    ok = ok and holds
+    if coloring.color_count == 1:
+        ok, slack = bounds_mod.erdos_gallai_check(g, args.n)
+        print(
+            f"edge bound e <= (n-2)/2 v: {'HOLDS' if ok else 'VIOLATED'} "
+            f"(e = {g.edge_count}, slack = {_fmt(slack)})"
+        )
+    else:
+        ok = _print_color_slacks(g, coloring, args.n)
     applicable, sc_holds, sc_slack = bounds_mod.small_components_bound(
         g, coloring, args.n
     )
@@ -225,6 +226,32 @@ def _cmd_bounds_check(args) -> int:
     else:
         print("small-components cap: not applicable")
     return EXIT_OK if ok else EXIT_VIOLATED
+
+
+def _print_color_slacks(
+    g: graphs.Graph, coloring: graphs.EdgeColoring, n: int
+) -> bool:
+    """Print the Erdős–Gallai slack f_c - v/2 of every used color class,
+    and once for all unused colors, from the multicolor loss ledger, whose
+    detector guards each class; return whether every slack is nonnegative."""
+    losses = loss.check_F_inequality(g, coloring, n)[1].color_losses
+    used = coloring.colors_used()
+    rows = [(f"color {c}", losses[c]) for c in used]
+    unused = coloring.color_count - len(used)
+    if unused:
+        # used is ascending, so the first gap in it is an unused color.
+        spare = next((c for c, u in enumerate(used, 1) if c != u), len(used) + 1)
+        rows.append((f"{unused} unused color(s)", losses[spare]))
+    half = Fraction(g.vertex_count, 2)
+    ok = True
+    for label, f in rows:
+        slack = f - half
+        print(
+            f"edge bound e_c <= (n-2)/2 v, {label}: "
+            f"{'HOLDS' if slack >= 0 else 'VIOLATED'} (slack = {_fmt(slack)})"
+        )
+        ok = ok and slack >= 0
+    return ok
 
 
 def _cmd_audit(args) -> int:

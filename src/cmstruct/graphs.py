@@ -377,6 +377,9 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
     for an uncolored graph. Errors report the offending 1-based line number.
     Each edge line is checked as it is read and fills the adjacency and the
     assignment, so neither the graph nor the coloring is checked again.
+    Most lines of a file are edge lines, so the loop tests first for a
+    four-field ``e`` line after the header; headers, comments and malformed
+    lines take the other branches.
     """
     vertex_count = None
     color_count = None
@@ -384,9 +387,29 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
     adj: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if len(parts) == 4 and parts[0] == "e" and vertex_count is not None:
+            try:
+                u, v, color = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:
+                raise GraphFormatError(
+                    f"bad edge line {raw.strip()!r}", lineno
+                ) from None
+            if not (
+                u != v
+                and 0 <= u < vertex_count
+                and 0 <= v < vertex_count
+                and 0 < color <= color_count
+            ):
+                raise _edge_bounds_error(u, v, color, vertex_count, color_count, lineno)
+            key = (u, v) if u < v else (v, u)
+            if key in assignment:
+                raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
+            assignment[key] = color
+            adj[u].append(v)
+            adj[v].append(u)
+        elif not parts or parts[0].startswith("#"):
             continue
-        if parts[0] == "p":
+        elif parts[0] == "p":
             if vertex_count is not None:
                 raise GraphFormatError("duplicate header", lineno)
             if len(parts) != 4 or parts[1] != "cm":
@@ -409,32 +432,10 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
                 )
             adj = [[] for _ in range(vertex_count)]
         elif parts[0] == "e":
-            if vertex_count is None or color_count is None:
+            # Before the header, or after it with a wrong field count.
+            if vertex_count is None:
                 raise GraphFormatError("edge before header", lineno)
-            if len(parts) != 4:
-                raise GraphFormatError(f"bad edge line {raw.strip()!r}", lineno)
-            try:
-                u, v, color = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphFormatError(
-                    f"bad edge line {raw.strip()!r}", lineno
-                ) from None
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise GraphFormatError(
-                    f"vertex id out of range 0..{vertex_count - 1}", lineno
-                )
-            if not 1 <= color <= color_count:
-                raise GraphFormatError(
-                    f"color {color} outside 1..{color_count}", lineno
-                )
-            key = (u, v) if u < v else (v, u)
-            if key in assignment:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-            assignment[key] = color
-            adj[u].append(v)
-            adj[v].append(u)
+            raise GraphFormatError(f"bad edge line {raw.strip()!r}", lineno)
         else:
             raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
     if vertex_count is None or color_count is None:
@@ -443,6 +444,18 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
                _adj=_sorted_rows(adj))
     return g, _build(EdgeColoring, color_count=color_count, assignment=assignment,
                      _by_color=_index(assignment))
+
+
+def _edge_bounds_error(
+    u: int, v: int, color: int, vertex_count: int, color_count: int, lineno: int
+) -> GraphFormatError:
+    """The error of an edge line that fails a bounds check, diagnosed in
+    order: a self-loop, then a vertex id out of range, then the color."""
+    if u == v:
+        return GraphFormatError(f"self-loop at vertex {u}", lineno)
+    if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+        return GraphFormatError(f"vertex id out of range 0..{vertex_count - 1}", lineno)
+    return GraphFormatError(f"color {color} outside 1..{color_count}", lineno)
 
 
 def serialize(g: Graph, coloring: EdgeColoring | None = None) -> str:

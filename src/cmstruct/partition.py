@@ -13,6 +13,11 @@ Small graphs (``v(G) <= n-1``) take ``Q = V``. Larger graphs start from a
 deficiency witness: S is the witness set, I picks one vertex from every odd
 component of G-S except the largest, and vertices move from I to Q until
 condition 1 holds with equality.
+
+``component_partitions`` partitions every component of a graph. A component
+on at most ``n-1`` vertices is small, so its partition is its vertex set
+taken as Q: it costs O(V) and builds no subgraph. Only the components on
+``n`` or more vertices get an induced subgraph and a deficiency witness.
 """
 
 from __future__ import annotations
@@ -71,6 +76,18 @@ class PartitionReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _small_partition(vertices: frozenset[int], n: int) -> SQIPartition | None:
+    """``Q = V`` for a connected graph on ``vertices`` when it has at most
+    ``n-1`` of them; None for larger graphs.
+
+    Then 2 nu <= v < n, so no matching of size n/2 fits and nothing needs
+    to be computed.
+    """
+    if len(vertices) <= n - 1:
+        return SQIPartition(frozenset(), vertices, frozenset(), n)
+    return None
+
+
 def sqi_partition(g: Graph, n: int) -> SQIPartition:
     """Deterministic S/Q/I partition of a connected graph with ``nu < n/2``."""
     return _sqi_partition(g, n, tutte_berge)
@@ -85,9 +102,9 @@ def _sqi_partition(
     if g.vertex_count == 0 or components(g).count != 1:
         raise NotConnectedError("partition requires a connected, nonempty graph")
     v = g.vertex_count
-    if v <= n - 1:
-        # 2 nu <= v < n, so no matching of size n/2 fits.
-        return SQIPartition(frozenset(), frozenset(range(v)), frozenset(), n)
+    small = _small_partition(frozenset(range(v)), n)
+    if small is not None:
+        return small
     wit = witness_of(g)
     nu = (v - wit.deficiency) // 2
     if nu >= n // 2:
@@ -222,11 +239,16 @@ def partition_edge_bound(p: SQIPartition) -> int:
 def component_partitions(g: Graph, n: int) -> list[SQIPartition]:
     """One partition per connected component, in original vertex ids.
 
-    Raises HasLargeMatchingError if any component has a matching of size
-    ``n/2``.
+    Raises OddNError unless ``n`` is an even integer >= 2, whatever the
+    graph, and HasLargeMatchingError if any component has a matching of
+    size ``n/2``.
     """
+    require_even_n(n)
     result = []
     for comp in components(g).vertex_sets():
-        sub, ids = g.induced(comp)
-        result.append(sqi_partition(sub, n).relabel(ids))
+        p = _small_partition(comp, n)
+        if p is None:
+            sub, ids = g.induced(comp)
+            p = sqi_partition(sub, n).relabel(ids)
+        result.append(p)
     return result

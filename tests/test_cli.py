@@ -281,9 +281,9 @@ def test_bounds_check(tmp_path, capsys):
 
 
 def test_bounds_check_small_components_cap_on_a_colored_file(tmp_path, capsys):
-    # Four triangles, each colored 1, 2, 3, in a file declaring k = 4: no
-    # component of the whole graph has a matching of n/2 = 2 edges, so the
-    # Erdos-Gallai guard passes and the cap applies.
+    # Four triangles, each colored 1, 2, 3, in a file declaring k = 4: each
+    # used color has 4 edges on v = 14 (slack 14 - 4), the unused color is
+    # edgeless (slack 14), and the cap applies.
     path = tmp_path / "triangles.g"
     path.write_text(
         "p cm 14 4\n"
@@ -296,9 +296,54 @@ def test_bounds_check_small_components_cap_on_a_colored_file(tmp_path, capsys):
     assert code == 0
     assert out == (
         f"# cmstruct bounds-check n=4 input={path}\n"
-        "edge bound e <= (n-2)/2 v: HOLDS (e = 12, slack = 2)\n"
+        "edge bound e_c <= (n-2)/2 v, color 1: HOLDS (slack = 10)\n"
+        "edge bound e_c <= (n-2)/2 v, color 2: HOLDS (slack = 10)\n"
+        "edge bound e_c <= (n-2)/2 v, color 3: HOLDS (slack = 10)\n"
+        "edge bound e_c <= (n-2)/2 v, 1 unused color(s): HOLDS (slack = 14)\n"
         "small-components cap e <= C(v,2) - n^2/32: HOLDS (slack = 157/2)\n"
     )
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_bounds_check_reports_every_color_of_an_affine_plane(tmp_path, capsys, q):
+    # Each color class is q disjoint K_q with q = n - 1, which meets the
+    # Erdos-Gallai bound with equality; the union has a connected matching
+    # of n/2 edges, which the per-color report does not look at.
+    path = write_graph(tmp_path / "affine.g", *constructions.affine_plane_coloring(q))
+    code, out, err = run(capsys, ["bounds-check", "--n", str(q + 1), "--input", path])
+    assert (code, err) == (0, "")
+    assert out == (
+        f"# cmstruct bounds-check n={q + 1} input={path}\n"
+        + "".join(
+            f"edge bound e_c <= (n-2)/2 v, color {c}: HOLDS (slack = 0)\n"
+            for c in range(1, q + 2)
+        )
+        + "small-components cap: not applicable\n"
+    )
+
+
+def test_bounds_check_on_a_colored_file_reports_unused_colors_once(tmp_path, capsys):
+    # Colors 2 and 4 carry an edge each; 1, 3 and 5 share one line.
+    path = tmp_path / "sparse.g"
+    path.write_text("p cm 6 5\ne 0 1 2\ne 2 3 4\n")
+    code, out, _ = run(capsys, ["bounds-check", "--n", "4", "--input", str(path)])
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "edge bound e_c <= (n-2)/2 v, color 2: HOLDS (slack = 5)",
+        "edge bound e_c <= (n-2)/2 v, color 4: HOLDS (slack = 5)",
+        "edge bound e_c <= (n-2)/2 v, 3 unused color(s): HOLDS (slack = 6)",
+        "small-components cap: not applicable",
+    ]
+
+
+def test_bounds_check_refuses_a_monochromatic_connected_matching(tmp_path, capsys):
+    # The affine plane of order 5 at n = 4: every color class is five K_5,
+    # each with a matching of two edges.
+    path = write_graph(tmp_path / "affine.g", *constructions.affine_plane_coloring(5))
+    code, out, err = run(capsys, ["bounds-check", "--n", "4", "--input", path])
+    assert code == 2
+    assert out == f"# cmstruct bounds-check n=4 input={path}\n"
+    assert err == "cmstruct: color 1 has a connected matching of size 2\n"
 
 
 def test_bounds_check_takes_the_color_count_from_the_file(tmp_path, capsys):

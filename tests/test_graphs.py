@@ -113,6 +113,16 @@ def test_parse_errors_carry_line_numbers():
         ("p cm 3 1\n\ne 0 x 1\n", 3, "bad edge line 'e 0 x 1'"),
         ("p cm 3 1\ne 2 2 1\n", 2, "self-loop at vertex 2"),
         ("p cm 3 1\nq 0 1\n", 2, "unknown record 'q'"),
+        ("p cm 3 1\nE 0 1 1\n", 2, "unknown record 'E'"),
+        ("e 0 1 1\np cm 3 1\n", 1, "edge before header"),
+        ("# c\ne 0 1\np cm 3 1\n", 2, "edge before header"),
+        ("p cm 3 1\ne 0 1 1 1\n", 2, "bad edge line 'e 0 1 1 1'"),
+        ("p cm 3 1\ne 5 5 9\n", 2, "self-loop at vertex 5"),
+        ("p cm 3 2\ne 0 7 9\n", 2, "vertex id out of range 0..2"),
+        ("p cm 3 2\ne -1 2 1\n", 2, "vertex id out of range 0..2"),
+        ("p cm 3 2\ne 0 1 3\n", 2, "color 3 outside 1..2"),
+        ("p cm 3 2\ne 0 1 0\n", 2, "color 0 outside 1..2"),
+        ("p cm 3 1\ne 0 1 1\n\ne 1 0 1\n", 4, "duplicate edge (1, 0)"),
         ("# only a comment\n", 1, "missing 'p cm <N> <k>' header"),
         ("", 1, "missing 'p cm <N> <k>' header"),
     ],
@@ -135,6 +145,37 @@ def test_roundtrip_seeded_random_colorings():
         g2, c2 = parse_graph(text)
         assert (g2, c2) == (g, coloring)
         assert serialize(g2, c2) == text
+
+
+def test_parse_mixed_layout_matches_the_checking_constructors():
+    # Comments, blank lines, extra whitespace and reversed endpoints between
+    # the edge lines change nothing: the graph, the order of the assignment
+    # and the by-color index equal those of Graph and EdgeColoring given
+    # the same records in the same order.
+    rng = random.Random(2411)
+    fillers = ["", "   ", "\t", "# comment", "#", "  # indented comment"]
+    layouts = ["e {} {} {}", " e\t{}  {} {} ", "e {}\t{}\t{}"]
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        k = rng.randint(1, 5)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = [e for e in pairs if rng.random() < rng.random()]
+        rng.shuffle(chosen)
+        records = {
+            (e if rng.random() < 0.5 else e[::-1]): rng.randint(1, k) for e in chosen
+        }
+        lines = [rng.choice(fillers) for _ in range(rng.randint(0, 2))]
+        lines.append(f"p cm {n} {k}")
+        for (u, v), c in records.items():
+            lines += [rng.choice(fillers) for _ in range(rng.randint(0, 2))]
+            lines.append(rng.choice(layouts).format(u, v, c))
+        g, coloring = parse_graph("\n".join(lines))
+        ref_g, ref = Graph(n, list(records)), EdgeColoring(k, records)
+        assert g == ref_g and g.adjacency == ref_g.adjacency
+        assert list(coloring.assignment.items()) == list(ref.assignment.items())
+        assert coloring._by_color == ref._by_color
+        assert list(coloring._by_color) == list(ref._by_color)
+        assert coloring == ref
 
 
 def test_serialize_uncolored_defaults_to_one_color():
