@@ -6,6 +6,11 @@ class: q disjoint cliques of q vertices. The other generators are seeded
 and deterministic; random colors come from the Mersenne Twister behind
 ``random.Random``, which produces identical streams for a fixed seed on
 every platform.
+
+Every generator lays out edges it normalized itself and colors it drew from
+``1..k``, so its output is valid by construction: the graph and coloring
+are set through ``graphs._build`` with the by-color index ``_index``, as
+``parse_graph`` sets them, and not checked again.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .errors import NotPrimeError
-from .graphs import EdgeColoring, Graph, complete_graph
+from .graphs import EdgeColoring, Graph, _build, _index, _sorted_rows
 
 # Every generator lays out all edges of K_N: random_coloring plus
 # complete_graph already peak at about 200 MB for N = 1,000.
@@ -23,6 +28,27 @@ MAX_VERTICES = 1024
 def _check_order(n_vertices: int) -> None:
     if n_vertices > MAX_VERTICES:
         raise ValueError(f"n_vertices must be <= {MAX_VERTICES}, got {n_vertices}")
+
+
+def _coloring(k: int, assignment: dict[tuple[int, int], int]) -> EdgeColoring:
+    """``EdgeColoring(k, assignment)`` for a normalized assignment with
+    colors in ``1..k``, not checked again."""
+    return _build(EdgeColoring, color_count=k, assignment=assignment,
+                  _by_color=_index(assignment))
+
+
+def _colored_graph(
+    n_vertices: int, k: int, assignment: dict[tuple[int, int], int]
+) -> tuple[Graph, EdgeColoring]:
+    """The graph on the edges of ``assignment`` with its coloring, as
+    ``Graph`` and ``EdgeColoring`` would build them, not checked again."""
+    adj: list[list[int]] = [[] for _ in range(n_vertices)]
+    for u, v in assignment:
+        adj[u].append(v)
+        adj[v].append(u)
+    g = _build(Graph, vertex_count=n_vertices, edges=frozenset(assignment),
+               _adj=_sorted_rows(adj))
+    return g, _coloring(k, assignment)
 
 
 def _is_prime(q: int) -> bool:
@@ -47,18 +73,19 @@ def affine_plane_coloring(q: int) -> tuple[Graph, EdgeColoring]:
         raise ValueError(f"q^2 must be <= {MAX_VERTICES}, got q = {q}")
     if not _is_prime(q):
         raise NotPrimeError(f"q must be prime, got {q}")
-    g = complete_graph(q * q)
+    points = q * q
     assignment: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
+    for u in range(points):
         x1, y1 = divmod(u, q)
-        x2, y2 = divmod(v, q)
-        if x1 == x2:
-            color = q + 1
-        else:
-            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
-            color = slope + 1
-        assignment[(u, v)] = color
-    return g, EdgeColoring(q + 1, assignment)
+        for v in range(u + 1, points):
+            x2, y2 = divmod(v, q)
+            if x1 == x2:
+                color = q + 1
+            else:
+                slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+                color = slope + 1
+            assignment[(u, v)] = color
+    return _colored_graph(points, q + 1, assignment)
 
 
 def disjoint_cliques_coloring(
@@ -110,7 +137,7 @@ def disjoint_cliques_coloring(
                     assignment[(u, v)] = color
     if uncovered:
         return None
-    return EdgeColoring(k, assignment)
+    return _coloring(k, assignment)
 
 
 def random_coloring(n_vertices: int, k: int, seed: int = 0) -> EdgeColoring:
@@ -124,7 +151,7 @@ def random_coloring(n_vertices: int, k: int, seed: int = 0) -> EdgeColoring:
         for u in range(n_vertices)
         for v in range(u + 1, n_vertices)
     }
-    return EdgeColoring(k, assignment)
+    return _coloring(k, assignment)
 
 
 def bounded_component_coloring(
@@ -166,5 +193,4 @@ def bounded_component_coloring(
                     size[color][ru] = merged
                 assignment[(u, v)] = color
                 break
-    g = Graph(n_vertices, frozenset(assignment))
-    return g, EdgeColoring(k, assignment)
+    return _colored_graph(n_vertices, k, assignment)

@@ -11,7 +11,9 @@ and normalize all they are given. Values derived from checked data skip
 that: ``parse_graph`` checks each line as it reads it, ``color_class``
 keeps edges of a checked graph, ``Graph.induced`` relabels a checked
 adjacency and ``induced_coloring`` copies checked colors, so all four set
-their fields through the private ``_build``, which checks nothing. Every
+their fields through the private ``_build``, which checks nothing. The
+seeded constructions in ``constructions`` lay out edges and colors that
+are valid by construction and build through ``_build`` too. Every
 coloring indexes its edges by color (``_index``), so ``color_class`` reads
 only the edges of its color, O(E_c), and ``Graph.induced`` walks only the
 adjacency of the chosen vertices.
@@ -152,10 +154,10 @@ class EdgeColoring:
     """Total assignment of colors ``1..color_count`` to a graph's edges.
 
     ``EdgeColoring(k, assignment)`` checks every color against ``1..k`` and
-    stores each edge as ``(low, high)``; ``parse_graph`` and
-    ``induced_coloring`` build through ``_build`` and check nothing. Either
-    way the edges are indexed by color, so a color's edge list costs
-    nothing to look up.
+    stores each edge as ``(low, high)``; ``parse_graph``,
+    ``induced_coloring`` and the seeded constructions build through
+    ``_build`` and check nothing. Either way the edges are indexed by
+    color, so a color's edge list costs nothing to look up.
     """
 
     color_count: int

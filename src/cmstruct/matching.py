@@ -14,8 +14,11 @@ Theory*, ch. 3): one maximum matching plus one failed forest search rooted
 at all its exposed vertices, whose outer vertices are D, also O(V^3).
 
 A connected matching is a matching whose edges all lie in one component of
-the host graph. The detector scans color classes component by component and
-returns a witness that ``check_witness`` re-validates independently; the
+the host graph. The detector first runs a union-find over each color's edge
+list, O(E_c) with dicts, and builds only the classes with a component on n
+or more vertices, the only ones that can hold n/2 matching edges; those it
+scans component by component as before, so the verdict and the witness do
+not change. ``check_witness`` re-validates the witness independently; the
 ``require_no_*`` guards protect the analyses defined only on inputs without
 a connected matching of size n/2.
 """
@@ -351,16 +354,53 @@ def check_witness(g: Graph, coloring: EdgeColoring, n: int, w: CMWitness) -> boo
     return w.component == labeling.vertex_sets()[labeling.component_of(anchor)]
 
 
+def _spans(edges, host: frozenset[tuple[int, int]], n: int) -> bool:
+    """Whether the edges of ``edges`` that lie in ``host`` join ``n`` or
+    more vertices into one component.
+
+    A union-find kept in dicts, so the cost is O(len(edges)) whatever the
+    host's vertex count; it stops at the first component on n vertices.
+    """
+    if len(edges) < n - 1:
+        return False
+    parent: dict[int, int] = {}
+    size: dict[int, int] = {}
+    for e in edges:
+        if e not in host:
+            continue
+        u, v = e
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        if u != v:
+            su, sv = size.get(u, 1), size.get(v, 1)
+            if su < sv:
+                u, v = v, u
+            if su + sv >= n:
+                return True
+            parent[v] = u
+            size[u] = su + sv
+    return False
+
+
 def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
     """First monochromatic connected matching of size ``n/2``, if any.
 
     Colors that carry an edge are scanned in ascending order, components
     in labeling order, so the witness is deterministic. Returns None iff no
     color class has a component whose matching number reaches ``n/2``.
+    A color is built into its class only if ``_spans`` finds a component
+    on n or more vertices among its edges in ``g``; the others hold no
+    such component, so skipping them keeps the verdict and the witness.
+    A color with fewer than n - 1 edges is skipped without a pass.
     """
     require_even_n(n)
     target = n // 2
+    by_color = coloring._by_color
     for color in coloring.colors_used():
+        if not _spans(by_color.get(color, ()), g.edges, n):
+            continue
         cls = color_class(g, coloring, color)
         for comp in components(cls).vertex_sets():
             if len(comp) < n:

@@ -196,9 +196,10 @@ def test_loss_check_adds_one_term_per_distinct_loss(tmp_path, capsys, monkeypatc
 def test_loss_check_builds_each_used_class_twice_and_runs_no_matching_guard(
     tmp_path, capsys, monkeypatch, text
 ):
-    # The detector builds each used class once and the per-color pass once
-    # more; the additivity line reads the losses of that pass, so no class
-    # is checked for a connected matching again.
+    # The detector builds at most each used class once (only those with a
+    # component on n vertices) and the per-color pass once more; the
+    # additivity line reads the losses of that pass, so no class is checked
+    # for a connected matching again.
     counts = collections.Counter()
 
     def counting(name, real):

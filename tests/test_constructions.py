@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from cmstruct.constructions import (
     random_coloring,
 )
 from cmstruct.errors import NotPrimeError
-from cmstruct.graphs import complete_graph
+from cmstruct.graphs import EdgeColoring, Graph, complete_graph, serialize
 
 
 def test_affine_q2_gives_three_perfect_matchings():
@@ -151,3 +152,73 @@ def test_affine_refuses_planes_above_the_cap():
     for q in (37, 1009, 10**18 + 9):
         with pytest.raises(ValueError, match=f"q\\^2 must be <= {MAX_VERTICES}"):
             affine_plane_coloring(q)
+
+
+# -- trusted outputs against the checking constructors ------------------------
+
+def _assert_coloring_as_checked(coloring, k):
+    """``coloring`` equals ``EdgeColoring(k, ...)`` on the same records,
+    down to the iteration order of its assignment and its color index."""
+    checked = EdgeColoring(k, dict(coloring.assignment))
+    assert coloring == checked
+    assert list(coloring.assignment.items()) == list(checked.assignment.items())
+    assert list(coloring._by_color.items()) == list(checked._by_color.items())
+    return checked
+
+
+def _assert_colored_graph_as_checked(g, coloring, k):
+    checked_graph = Graph(g.vertex_count, list(coloring.assignment))
+    assert g.vertex_count == checked_graph.vertex_count
+    assert g.edges == checked_graph.edges
+    assert g.adjacency == checked_graph.adjacency
+    assert g == checked_graph
+    checked = _assert_coloring_as_checked(coloring, k)
+    assert serialize(g, coloring) == serialize(checked_graph, checked)
+
+
+def test_generators_match_the_checking_constructors():
+    for seed in range(50):
+        rng = random.Random(seed)
+        n, k = rng.randint(1, 20), rng.randint(1, 6)
+        coloring = random_coloring(n, k, seed)
+        _assert_coloring_as_checked(coloring, k)
+        assert serialize(complete_graph(n), coloring) == serialize(
+            complete_graph(n), EdgeColoring(k, dict(coloring.assignment))
+        )
+
+        g, coloring = bounded_component_coloring(n, k, rng.randint(1, 6), seed)
+        _assert_colored_graph_as_checked(g, coloring, k)
+
+        cap = rng.randint(1, 5)
+        coloring = disjoint_cliques_coloring(n, rng.randint(1, 12), cap, seed)
+        if coloring is not None:
+            _assert_coloring_as_checked(coloring, coloring.color_count)
+    for q in (2, 3, 5, 7, 11):
+        g, coloring = affine_plane_coloring(q)
+        assert g.edges == complete_graph(q * q).edges
+        _assert_colored_graph_as_checked(g, coloring, q + 1)
+
+
+def test_generators_are_not_checked_again(monkeypatch):
+    calls = []
+    for cls in (Graph, EdgeColoring):
+        def counting(self, original=cls.__post_init__):
+            calls.append(type(self))
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    random_coloring(9, 3, 1)
+    bounded_component_coloring(9, 3, 4, 1)
+    disjoint_cliques_coloring(4, 3, 2, 1)
+    affine_plane_coloring(3)
+    assert calls == []
+    Graph(2, [(0, 1)])
+    assert calls == [Graph]  # the counting check is live
+
+
+def test_bounded_component_coloring_stream_is_pinned():
+    # The random stream of the seeded generators is part of their output:
+    # the benchmark pins digests of colorings built from it.
+    g, coloring = bounded_component_coloring(21, 4, 5, 3)
+    digest = hashlib.sha256(serialize(g, coloring).encode()).hexdigest()
+    assert digest == "ce9c4da66a11a4c7b05430c2e20eee98f03f9ccae1f097c2c529f744d07c921d"

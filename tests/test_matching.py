@@ -1,28 +1,44 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cmstruct import (
+    CMWitness,
+    EdgeColoring,
     Graph,
+    color_class,
     complete_graph,
+    components,
     disjoint_union,
+    find_mono_cm,
     matching_number,
     matching_of_size,
     maximum_matching,
     odd_components,
+    parse_graph,
     path_graph,
     sqi_partition,
     star_graph,
     tutte_berge,
 )
 from cmstruct import matching as matching_module
+from cmstruct.constructions import (
+    affine_plane_coloring,
+    bounded_component_coloring,
+    random_coloring,
+)
 
 from .generators import random_connected_graph, random_graph
 from .oracles import (
     all_graphs,
     brute_deficiency,
     brute_gallai_edmonds,
+    brute_has_mono_cm,
     brute_matching_number,
     has_augmenting_path,
 )
+from .test_graphs import graphs_with_colorings
 
 
 def petersen() -> Graph:
@@ -257,9 +273,7 @@ def test_berge_bound_for_random_matchings():
         assert missed >= len(w.odd_components) - len(w.witness)
 
 
-def test_find_mono_cm_builds_only_the_classes_of_used_colors(monkeypatch):
-    from cmstruct import EdgeColoring, find_mono_cm
-
+def count_class_builds(monkeypatch):
     built = []
     build = matching_module.color_class
 
@@ -268,13 +282,19 @@ def test_find_mono_cm_builds_only_the_classes_of_used_colors(monkeypatch):
         return build(g, coloring, color)
 
     monkeypatch.setattr(matching_module, "color_class", counting)
+    return built
+
+
+def test_find_mono_cm_builds_only_the_classes_of_used_colors(monkeypatch):
+    built = count_class_builds(monkeypatch)
+    # One edge cannot join n = 4 vertices: no class is built.
     g = Graph.from_edges(5, [(0, 1)])
     coloring = EdgeColoring(10**5, {(1, 0): 77_777})
     assert find_mono_cm(g, coloring, 4) is None
-    assert built == [77_777]
+    assert built == []
     # Used colors are still scanned in ascending order: the first one with
-    # a large connected matching gives the witness.
-    built.clear()
+    # a large connected matching gives the witness. Colors 3 and 5 have
+    # fewer than n - 1 edges and are skipped without a class.
     g = path_graph(6)
     coloring = EdgeColoring(
         10**5, {(0, 1): 9, (1, 2): 9, (2, 3): 9, (3, 4): 5, (4, 5): 3}
@@ -282,4 +302,126 @@ def test_find_mono_cm_builds_only_the_classes_of_used_colors(monkeypatch):
     witness = find_mono_cm(g, coloring, 4)
     assert witness is not None and witness.color == 9
     # The last build is the witness check's own class of color 9.
-    assert built == [3, 5, 9, 9]
+    assert built == [9, 9]
+    # Two triangles have enough edges, but neither component reaches n.
+    built.clear()
+    g = disjoint_union([complete_graph(3), complete_graph(3)])
+    coloring = EdgeColoring(2, {e: 2 for e in g.edges})
+    assert find_mono_cm(g, coloring, 4) is None
+    assert built == []
+
+
+def _reference_find_mono_cm(g, coloring, n):
+    """The detector without its pre-check: every used color's class,
+    scanned component by component."""
+    for color in coloring.colors_used():
+        cls = color_class(g, coloring, color)
+        for comp in components(cls).vertex_sets():
+            if len(comp) < n:
+                continue
+            sub, ids = cls.induced(comp)
+            found = matching_of_size(sub, n // 2)
+            if found is not None:
+                return CMWitness(
+                    color, comp, frozenset((ids[a], ids[b]) for a, b in found.edges)
+                )
+    return None
+
+
+def _assert_detector_matches_reference(g, coloring, n):
+    witness = find_mono_cm(g, coloring, n)
+    assert witness == _reference_find_mono_cm(g, coloring, n)
+    if g.vertex_count <= 7:
+        # The oracle reads the whole assignment, so it gets only the edges
+        # that lie in g.
+        inside = {e: c for e, c in coloring.assignment.items() if e in g.edges}
+        restricted = EdgeColoring(coloring.color_count, inside)
+        assert (witness is not None) == brute_has_mono_cm(g, restricted, n)
+    return witness
+
+
+def test_find_mono_cm_matches_the_unchecked_loop_on_constructions():
+    hits = misses = 0
+    k17, k24 = complete_graph(17), complete_graph(24)
+    for seed in range(40):
+        cases = [
+            (k17, random_coloring(17, 4, seed), (2, 4, 8, 12)),
+            (k24, random_coloring(24, 10, seed), (4, 12, 24)),
+            (*bounded_component_coloring(24, 4, 10, seed), (2, 8, 10, 12)),
+            (*bounded_component_coloring(7, 3, 4, seed), (2, 4, 6)),
+        ]
+        for g, coloring, sizes in cases:
+            for n in sizes:
+                if _assert_detector_matches_reference(g, coloring, n) is None:
+                    misses += 1
+                else:
+                    hits += 1
+    for q in (3, 5):
+        g, coloring = affine_plane_coloring(q)
+        for n in range(2, q + 4, 2):
+            _assert_detector_matches_reference(g, coloring, n)
+    assert hits > 100 and misses > 100
+
+
+@settings(max_examples=150)
+@given(
+    graphs_with_colorings(),
+    st.sampled_from([2, 4, 6, 8]),
+    st.randoms(use_true_random=False),
+)
+def test_find_mono_cm_matches_the_unchecked_loop_on_hypothesis_colorings(
+    gc, n, rnd
+):
+    g, coloring = gc
+    _assert_detector_matches_reference(g, coloring, n)
+    # The same coloring on a random part of g: edges outside g are ignored.
+    sub = Graph(g.vertex_count, [e for e in g.edges if rnd.random() < 0.6])
+    _assert_detector_matches_reference(sub, coloring, n)
+
+
+def test_find_mono_cm_ignores_colored_edges_outside_the_graph(monkeypatch):
+    rng = random.Random(41)
+    for _ in range(60):
+        vertex_count = rng.randint(2, 12)
+        coloring = random_coloring(vertex_count, rng.randint(1, 4), rng.randrange(10**6))
+        g = Graph(vertex_count, [e for e in coloring.assignment if rng.random() < 0.5])
+        for n in (2, 4, 6):
+            _assert_detector_matches_reference(g, coloring, n)
+    # Color 1 spans all five vertices in the coloring but not in g, so its
+    # class is not built.
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    coloring = EdgeColoring(2, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1})
+    assert _assert_detector_matches_reference(g, coloring, 4) is None
+    built = count_class_builds(monkeypatch)
+    assert find_mono_cm(g, coloring, 4) is None
+    assert built == []
+
+
+def test_find_mono_cm_on_a_sparse_file_with_many_vertices(monkeypatch):
+    text = "\n".join([
+        "p cm 200000 3",
+        "e 199990 5 2",
+        "e 5 123456 2",
+        "e 123456 77 2",
+        "e 77 1 1",
+        "e 1 199999 1",
+        "e 10 11 3",
+    ])
+    g, coloring = parse_graph(text)
+    witness = _assert_detector_matches_reference(g, coloring, 4)
+    assert witness is not None and witness.color == 2
+    assert witness.component == frozenset({5, 77, 123456, 199990})
+    # No component reaches 6 vertices, so the miss builds no class (the
+    # reference would build three, each with 200,000 adjacency rows).
+    built = count_class_builds(monkeypatch)
+    assert find_mono_cm(g, coloring, 6) is None
+    assert built == []
+
+
+def test_find_mono_cm_with_a_listed_color_that_has_no_edges(monkeypatch):
+    g = path_graph(6)
+    coloring = EdgeColoring(4, {(0, 1): 1, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 1})
+    monkeypatch.setattr(EdgeColoring, "colors_used", lambda self: (1, 2, 3, 4))
+    witness = _assert_detector_matches_reference(g, coloring, 4)
+    assert witness is not None and witness.color == 3
+    assert _assert_detector_matches_reference(g, coloring, 6) is None
