@@ -9,8 +9,8 @@ every platform.
 
 Every generator lays out edges it normalized itself and colors it drew from
 ``1..k``, so its output is valid by construction: the graph and coloring
-are set through ``graphs._build`` with the by-color index ``_index``, as
-``parse_graph`` sets them, and not checked again.
+come from ``graphs._graph`` and ``graphs._colored``, as ``parse_graph``'s
+do, and are not checked again.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .errors import NotPrimeError
-from .graphs import EdgeColoring, Graph, _build, _index, _sorted_rows
+from .graphs import EdgeColoring, Graph, _colored, _graph
 
 # Every generator lays out all edges of K_N: random_coloring plus
 # complete_graph already peak at about 200 MB for N = 1,000.
@@ -28,27 +28,6 @@ MAX_VERTICES = 1024
 def _check_order(n_vertices: int) -> None:
     if n_vertices > MAX_VERTICES:
         raise ValueError(f"n_vertices must be <= {MAX_VERTICES}, got {n_vertices}")
-
-
-def _coloring(k: int, assignment: dict[tuple[int, int], int]) -> EdgeColoring:
-    """``EdgeColoring(k, assignment)`` for a normalized assignment with
-    colors in ``1..k``, not checked again."""
-    return _build(EdgeColoring, color_count=k, assignment=assignment,
-                  _by_color=_index(assignment))
-
-
-def _colored_graph(
-    n_vertices: int, k: int, assignment: dict[tuple[int, int], int]
-) -> tuple[Graph, EdgeColoring]:
-    """The graph on the edges of ``assignment`` with its coloring, as
-    ``Graph`` and ``EdgeColoring`` would build them, not checked again."""
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for u, v in assignment:
-        adj[u].append(v)
-        adj[v].append(u)
-    g = _build(Graph, vertex_count=n_vertices, edges=frozenset(assignment),
-               _adj=_sorted_rows(adj))
-    return g, _coloring(k, assignment)
 
 
 def _is_prime(q: int) -> bool:
@@ -85,7 +64,7 @@ def affine_plane_coloring(q: int) -> tuple[Graph, EdgeColoring]:
                 slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
                 color = slope + 1
             assignment[(u, v)] = color
-    return _colored_graph(points, q + 1, assignment)
+    return _graph(points, assignment), _colored(q + 1, assignment)
 
 
 def disjoint_cliques_coloring(
@@ -137,7 +116,7 @@ def disjoint_cliques_coloring(
                     assignment[(u, v)] = color
     if uncovered:
         return None
-    return _coloring(k, assignment)
+    return _colored(k, assignment)
 
 
 def random_coloring(n_vertices: int, k: int, seed: int = 0) -> EdgeColoring:
@@ -151,7 +130,7 @@ def random_coloring(n_vertices: int, k: int, seed: int = 0) -> EdgeColoring:
         for u in range(n_vertices)
         for v in range(u + 1, n_vertices)
     }
-    return _coloring(k, assignment)
+    return _colored(k, assignment)
 
 
 def bounded_component_coloring(
@@ -193,4 +172,4 @@ def bounded_component_coloring(
                     size[color][ru] = merged
                 assignment[(u, v)] = color
                 break
-    return _colored_graph(n_vertices, k, assignment)
+    return _graph(n_vertices, assignment), _colored(k, assignment)

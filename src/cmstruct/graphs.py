@@ -9,20 +9,20 @@ Subgraphs cost time proportional to their own size, not to the host's.
 The public ``Graph(n, edges)`` and ``EdgeColoring(k, assignment)`` check
 and normalize all they are given. Values derived from checked data skip
 that: ``parse_graph`` checks each line as it reads it, ``color_class``
-keeps edges of a checked graph, ``Graph.induced`` relabels a checked
-adjacency and ``induced_coloring`` copies checked colors, so all four set
-their fields through the private ``_build``, which checks nothing. The
-seeded constructions in ``constructions`` lay out edges and colors that
-are valid by construction and build through ``_build`` too. Every
-coloring indexes its edges by color (``_index``), so ``color_class`` reads
-only the edges of its color, O(E_c), and ``Graph.induced`` walks only the
-adjacency of the chosen vertices.
+keeps edges of a checked graph, ``induced_coloring`` copies checked colors
+and the seeded ``constructions`` are valid by construction, so they come
+from ``_graph`` and ``_colored``, which set fields through ``_build`` and
+check nothing; ``Graph.induced`` relabels a checked adjacency. Only this
+module lays out the fields, sorted adjacency rows (``_rows``) and the
+by-color index (``_index``), so ``color_class`` and the detector's
+pre-check ``_spans`` read only the edges of their color, O(E_c), and
+``Graph.induced`` walks only the adjacency of the chosen vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Collection, Iterable, Mapping, TypeVar
 
 from .errors import ColorRangeError, GraphFormatError
 
@@ -48,8 +48,28 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _sorted_rows(adj: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+def _rows(n: int, edges: Collection[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency rows on ``0..n-1`` of normalized, distinct
+    ``edges``, a dict or a list: in the ascending order callers give,
+    each row fills sorted, which a frozenset's order would not keep."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     return tuple(map(tuple, map(sorted, adj)))
+
+
+def _graph(n: int, edges: Collection[tuple[int, int]]) -> Graph:
+    """``Graph(n, edges)`` of normalized, distinct ``edges`` in range, as
+    ``_rows`` takes them; nothing is checked."""
+    return _build(Graph, vertex_count=n, edges=frozenset(edges), _adj=_rows(n, edges))
+
+
+def _colored(k: int, assignment: dict[tuple[int, int], int]) -> EdgeColoring:
+    """``EdgeColoring(k, assignment)`` of a normalized assignment with
+    colors in ``1..k``; nothing is checked."""
+    return _build(EdgeColoring, color_count=k, assignment=assignment,
+                  _by_color=_index(assignment))
 
 
 @dataclass(frozen=True)
@@ -72,10 +92,9 @@ class Graph:
         n = self.vertex_count
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        # One pass: normalize to (low, high), check, deduplicate and fill
-        # the adjacency; errors name the edge as given.
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # Normalize to (low, high), check and deduplicate in the order
+        # given; errors name the edge as given.
+        seen: dict[tuple[int, int], None] = {}
         for e in self.edges:
             u, v = e
             if u < v:
@@ -90,12 +109,9 @@ class Graph:
                 e = (u, v)
             else:
                 raise ValueError(f"self-loop at vertex {u}")
-            if e not in seen:
-                seen.add(e)
-                adj[u].append(v)
-                adj[v].append(u)
+            seen[e] = None
         object.__setattr__(self, "edges", frozenset(seen))
-        object.__setattr__(self, "_adj", _sorted_rows(adj))
+        object.__setattr__(self, "_adj", _rows(n, seen))
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -156,7 +172,7 @@ class EdgeColoring:
     ``EdgeColoring(k, assignment)`` checks every color against ``1..k`` and
     stores each edge as ``(low, high)``; ``parse_graph``,
     ``induced_coloring`` and the seeded constructions build through
-    ``_build`` and check nothing. Either way the edges are indexed by
+    ``_colored`` and check nothing. Either way the edges are indexed by
     color, so a color's edge list costs nothing to look up.
     """
 
@@ -275,12 +291,39 @@ def color_class(g: Graph, coloring: EdgeColoring, color: int) -> Graph:
         raise ColorRangeError(f"color {color} outside 1..{coloring.color_count}")
     edges = g.edges
     kept = [e for e in coloring._by_color.get(color, ()) if e in edges]
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in kept:
-        adj[u].append(v)
-        adj[v].append(u)
-    return _build(Graph, vertex_count=g.vertex_count, edges=frozenset(kept),
-                  _adj=_sorted_rows(adj))
+    return _graph(g.vertex_count, kept)
+
+
+def _spans(g: Graph, coloring: EdgeColoring, color: int, order: int) -> bool:
+    """Whether the edges of ``color`` that lie in ``g`` join ``order`` or
+    more vertices into one component.
+
+    A union-find kept in dicts, so the cost is O(E_c) whatever ``g``'s
+    vertex count; it stops at the first component on ``order`` vertices.
+    """
+    edges = coloring._by_color.get(color, ())
+    if len(edges) < order - 1:
+        return False
+    host = g.edges
+    parent: dict[int, int] = {}
+    size: dict[int, int] = {}
+    for e in edges:
+        if e not in host:
+            continue
+        u, v = e
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        if u != v:
+            su, sv = size.get(u, 1), size.get(v, 1)
+            if su < sv:
+                u, v = v, u
+            if su + sv >= order:
+                return True
+            parent[v] = u
+            size[u] = su + sv
+    return False
 
 
 def induced_coloring(
@@ -291,8 +334,7 @@ def induced_coloring(
     sub, ids = g.induced(vertices)
     # ids is sorted, so (ids[a], ids[b]) is normalized for every a < b.
     colors = {e: coloring.assignment[ids[e[0]], ids[e[1]]] for e in sub.edges}
-    return sub, _build(EdgeColoring, color_count=coloring.color_count,
-                       assignment=colors, _by_color=_index(colors))
+    return sub, _colored(coloring.color_count, colors)
 
 
 def per_color(
@@ -386,7 +428,6 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
     vertex_count = None
     color_count = None
     assignment: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if len(parts) == 4 and parts[0] == "e" and vertex_count is not None:
@@ -407,8 +448,6 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
             if key in assignment:
                 raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
             assignment[key] = color
-            adj[u].append(v)
-            adj[v].append(u)
         elif not parts or parts[0].startswith("#"):
             continue
         elif parts[0] == "p":
@@ -432,7 +471,6 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
                 raise GraphFormatError(
                     f"header k = {color_count} exceeds {MAX_COLORS}", lineno
                 )
-            adj = [[] for _ in range(vertex_count)]
         elif parts[0] == "e":
             # Before the header, or after it with a wrong field count.
             if vertex_count is None:
@@ -442,10 +480,7 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
             raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
     if vertex_count is None or color_count is None:
         raise GraphFormatError("missing 'p cm <N> <k>' header", 1)
-    g = _build(Graph, vertex_count=vertex_count, edges=frozenset(assignment),
-               _adj=_sorted_rows(adj))
-    return g, _build(EdgeColoring, color_count=color_count, assignment=assignment,
-                     _by_color=_index(assignment))
+    return _graph(vertex_count, assignment), _colored(color_count, assignment)
 
 
 def _edge_bounds_error(

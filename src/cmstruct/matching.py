@@ -14,11 +14,11 @@ Theory*, ch. 3): one maximum matching plus one failed forest search rooted
 at all its exposed vertices, whose outer vertices are D, also O(V^3).
 
 A connected matching is a matching whose edges all lie in one component of
-the host graph. The detector first runs a union-find over each color's edge
-list, O(E_c) with dicts, and builds only the classes with a component on n
-or more vertices, the only ones that can hold n/2 matching edges; those it
-scans component by component as before, so the verdict and the witness do
-not change. ``check_witness`` re-validates the witness independently; the
+the host graph. The detector builds only the color classes in which the
+pre-check ``graphs._spans`` finds a component on n or more vertices, the
+only ones that can hold n/2 matching edges, and scans them component by
+component. ``check_witness`` re-validates the witness independently, by a
+BFS over the witness color's edges that builds no class; the
 ``require_no_*`` guards protect the analyses defined only on inputs without
 a connected matching of size n/2.
 """
@@ -32,7 +32,7 @@ from .errors import (
     HasMonochromaticMatchingError,
     OddNError,
 )
-from .graphs import EdgeColoring, Graph, color_class, components
+from .graphs import EdgeColoring, Graph, _spans, color_class, components
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,8 @@ def max_connected_matching(g: Graph) -> tuple[int, frozenset[int]]:
 
 
 def check_witness(g: Graph, coloring: EdgeColoring, n: int, w: CMWitness) -> bool:
-    """Independent re-validation of a detector witness."""
+    """Independent re-validation of a detector witness; the component is
+    found again by a BFS over the witness color's edges in ``g``."""
     if len(w.matching) != n // 2:
         return False
     seen: set[int] = set()
@@ -348,40 +349,21 @@ def check_witness(g: Graph, coloring: EdgeColoring, n: int, w: CMWitness) -> boo
         if u in seen or v in seen or not {u, v} <= w.component:
             return False
         seen.update((u, v))
-    cls = color_class(g, coloring, w.color)
-    labeling = components(cls)
+    edges = g.edges
+    adj: dict[int, list[int]] = {}
+    for u, v in coloring.edges_of_color(w.color):
+        if (u, v) in edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
     anchor = next(iter(w.matching))[0]
-    return w.component == labeling.vertex_sets()[labeling.component_of(anchor)]
-
-
-def _spans(edges, host: frozenset[tuple[int, int]], n: int) -> bool:
-    """Whether the edges of ``edges`` that lie in ``host`` join ``n`` or
-    more vertices into one component.
-
-    A union-find kept in dicts, so the cost is O(len(edges)) whatever the
-    host's vertex count; it stops at the first component on n vertices.
-    """
-    if len(edges) < n - 1:
-        return False
-    parent: dict[int, int] = {}
-    size: dict[int, int] = {}
-    for e in edges:
-        if e not in host:
-            continue
-        u, v = e
-        while u in parent:
-            u = parent[u]
-        while v in parent:
-            v = parent[v]
-        if u != v:
-            su, sv = size.get(u, 1), size.get(v, 1)
-            if su < sv:
-                u, v = v, u
-            if su + sv >= n:
-                return True
-            parent[v] = u
-            size[u] = su + sv
-    return False
+    reached = {anchor}
+    stack = [anchor]
+    while stack:
+        for u in adj.get(stack.pop(), ()):
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    return reached == w.component
 
 
 def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
@@ -397,9 +379,8 @@ def find_mono_cm(g: Graph, coloring: EdgeColoring, n: int) -> CMWitness | None:
     """
     require_even_n(n)
     target = n // 2
-    by_color = coloring._by_color
     for color in coloring.colors_used():
-        if not _spans(by_color.get(color, ()), g.edges, n):
+        if not _spans(g, coloring, color, n):
             continue
         cls = color_class(g, coloring, color)
         for comp in components(cls).vertex_sets():

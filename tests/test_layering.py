@@ -1,4 +1,5 @@
-"""Each module of the package imports only modules of a lower layer."""
+"""Each module of the package imports only modules of a lower layer, and
+only ``graphs`` knows how a ``Graph`` and an ``EdgeColoring`` are stored."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,25 @@ def test_modules_import_only_lower_layers():
             continue
         for name in _package_imports(path):
             assert RANK[name] < RANK[path.stem], f"{path.stem} imports {name}"
+
+
+# The stored layout of Graph and EdgeColoring, and the helpers that set it
+# without checks.
+LAYOUT_FIELDS = {"_adj", "_by_color"}
+LAYOUT_BUILDERS = {"_build", "_index", "_rows"}
+
+
+def test_only_graphs_touches_the_stored_layout():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "graphs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in LAYOUT_FIELDS | LAYOUT_BUILDERS, (
+                    f"{path.stem} reads .{node.attr}"
+                )
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    assert alias.name not in LAYOUT_BUILDERS, (
+                        f"{path.stem} imports {alias.name}"
+                    )

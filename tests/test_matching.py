@@ -301,8 +301,9 @@ def test_find_mono_cm_builds_only_the_classes_of_used_colors(monkeypatch):
     )
     witness = find_mono_cm(g, coloring, 4)
     assert witness is not None and witness.color == 9
-    # The last build is the witness check's own class of color 9.
-    assert built == [9, 9]
+    # Only the detector builds the class of color 9: the witness check
+    # walks that color's edges and builds no class.
+    assert built == [9]
     # Two triangles have enough edges, but neither component reaches n.
     built.clear()
     g = disjoint_union([complete_graph(3), complete_graph(3)])

@@ -33,6 +33,7 @@ from cmstruct import (
     star_graph,
 )
 from cmstruct.constructions import affine_plane_coloring, random_coloring
+from cmstruct import matching as matching_module
 from cmstruct import search as search_module
 from cmstruct.errors import OddNError
 
@@ -79,12 +80,27 @@ def test_find_mono_cm_on_monochromatic_clique():
         "wrong-component",
     ],
 )
-def test_check_witness_rejects_forged_witnesses(forge):
+def test_check_witness_rejects_forged_witnesses(forge, monkeypatch):
     g = complete_graph(4)
     coloring = EdgeColoring(2, {e: 1 for e in g.edges})
-    witness = find_mono_cm(g, coloring, 4)
-    assert check_witness(g, coloring, 4, witness)
-    assert not check_witness(g, coloring, 4, forge(witness))
+    # Color 1 also colors (3, 4), which is not an edge of g5: through it,
+    # vertex 4 would join the witness component, so the genuine witness
+    # must still pass and the "wrong-component" forgery, which takes
+    # vertex 4 in, must fail.
+    g5 = Graph(5, g.edges)
+    outside = EdgeColoring(2, {**coloring.assignment, (3, 4): 1})
+    cases = [(host, colors, find_mono_cm(host, colors, 4))
+             for host, colors in ((g, coloring), (g5, outside))]
+
+    def no_class(*args):
+        raise AssertionError("check_witness builds a class")
+
+    monkeypatch.setattr(matching_module, "color_class", no_class)
+    monkeypatch.setattr(matching_module, "components", no_class)
+    for host, colors, witness in cases:
+        assert witness.component == frozenset(range(4))
+        assert check_witness(host, colors, 4, witness)
+        assert not check_witness(host, colors, 4, forge(witness))
 
 
 def test_check_witness_rejects_an_edge_of_another_color():
