@@ -5,7 +5,13 @@ slope of the line through each pair, so every color class is a parallel
 class: q disjoint cliques of q vertices. The other generators are seeded
 and deterministic; random colors come from the Mersenne Twister behind
 ``random.Random``, which produces identical streams for a fixed seed on
-every platform.
+every platform. ``random_coloring`` draws each color straight from
+``getrandbits``, as ``randrange`` does inside, so its colorings are those
+of ``randrange(1, k + 1)`` at a fraction of the cost.
+``bounded_component_coloring`` still calls ``shuffle``. Drawing its stream
+by hand too would give the same colorings faster, but that waits until the
+benchmark's peak-memory reading no longer grows with its number of timed
+passes.
 
 Every generator lays out edges it normalized itself and colors it drew from
 ``1..k``, so its output is valid by construction: the graph and coloring
@@ -124,12 +130,17 @@ def random_coloring(n_vertices: int, k: int, seed: int = 0) -> EdgeColoring:
     if n_vertices < 1 or k < 1:
         raise ValueError("n_vertices and k must be >= 1")
     _check_order(n_vertices)
-    rng = random.Random(seed)
-    assignment = {
-        (u, v): rng.randrange(1, k + 1)
-        for u in range(n_vertices)
-        for v in range(u + 1, n_vertices)
-    }
+    # randrange(1, k + 1) draws k.bit_length() bits until they fall below k;
+    # drawing them here skips its argument checks, with the same stream.
+    draw = random.Random(seed).getrandbits
+    bits = k.bit_length()
+    assignment: dict[tuple[int, int], int] = {}
+    for u in range(n_vertices):
+        for v in range(u + 1, n_vertices):
+            c = draw(bits)
+            while c >= k:
+                c = draw(bits)
+            assignment[(u, v)] = c + 1
     return _colored(k, assignment)
 
 

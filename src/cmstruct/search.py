@@ -101,8 +101,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
-from multiprocessing import Pipe, Process, parent_process
-from multiprocessing.connection import wait
 from threading import Thread
 
 from .graphs import EdgeColoring, complete_graph, induced_coloring
@@ -521,6 +519,9 @@ class _Searcher:
 
 def _exit_with_parent() -> None:
     """End this worker process as soon as its parent process is gone."""
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
     wait([parent_process().sentinel])
     os._exit(1)
 
@@ -541,6 +542,10 @@ class _Pool:
     task. ``multiprocessing.Pool`` cannot do that safely: its workers share
     one result queue and its lock, and a worker killed while it sends a
     result leaves the lock held, so ``terminate`` can hang.
+
+    The workers are the package's only use of ``multiprocessing``, so it is
+    imported when a pool starts them: ``import cmstruct`` and a search with
+    one thread never load it.
     """
 
     def __init__(self, processes: int):
@@ -559,6 +564,9 @@ class _Pool:
     def imap(self, fn, tasks):
         """Yield ``fn(task)`` for each task in order, drawing the next task
         only when a worker is free."""
+        from multiprocessing import Pipe, Process
+        from multiprocessing.connection import wait
+
         tasks = enumerate(tasks)
         idle = []
         for _ in range(self.processes):

@@ -222,3 +222,32 @@ def test_bounded_component_coloring_stream_is_pinned():
     g, coloring = bounded_component_coloring(21, 4, 5, 3)
     digest = hashlib.sha256(serialize(g, coloring).encode()).hexdigest()
     assert digest == "ce9c4da66a11a4c7b05430c2e20eee98f03f9ccae1f097c2c529f744d07c921d"
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, digest",
+    [
+        (24, 10, 7, "0f6afb43f6213c80d08540071c24116d9d4d48ace3013c4dc8e0581d9fe17da9"),
+        (17, 4, 3, "5d6873b913863f19aeb11659fe1fd7fcf6edfe6b784c6406c5ea499d7561b001"),
+        (9, 1, 5, "f5c9dffb7733b45e1ee2f326a0331b5099bceade45012c28c6138689cd5fc744"),
+    ],
+)
+def test_random_coloring_stream_is_pinned(n, k, seed, digest):
+    coloring = random_coloring(n, k, seed)
+    text = serialize(complete_graph(n), coloring)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 10, 16, 17, 1000])
+def test_random_coloring_draws_the_stream_of_randrange(k):
+    # random_coloring draws through getrandbits; its colors must stay those
+    # of randrange(1, k + 1) on every supported interpreter.
+    for n in (2, 5, 13, 30):
+        for seed in (0, 1, 42):
+            rng = random.Random(seed)
+            expected = {
+                (u, v): rng.randrange(1, k + 1)
+                for u in range(n)
+                for v in range(u + 1, n)
+            }
+            assert random_coloring(n, k, seed).assignment == expected

@@ -1,7 +1,11 @@
-"""Each module of the package imports only modules of a lower layer, and
-only ``graphs`` knows how a ``Graph`` and an ``EdgeColoring`` are stored."""
+"""Each module of the package imports only modules of a lower layer, only
+``graphs`` knows how a ``Graph`` and an ``EdgeColoring`` are stored, and
+importing the package loads no ``multiprocessing``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cmstruct"
@@ -64,3 +68,20 @@ def test_only_graphs_touches_the_stored_layout():
                     assert alias.name not in LAYOUT_BUILDERS, (
                         f"{path.stem} imports {alias.name}"
                     )
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    # Only search workers use multiprocessing; it is imported when a pool
+    # starts them, so no other command pays for loading it.
+    code = (
+        "import cmstruct, cmstruct.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
