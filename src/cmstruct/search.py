@@ -44,18 +44,28 @@ size <= nu <= bound throughout:
 - A trigger that only has to decide, because one augmenting path reaches
   n/2 (the stored size is n/2 - 1, as at every tight trigger), first
   probes the short augmenting paths through uv
-  (``_short_augmenting_path``): u-v-mate(v)-x with u and x exposed, or
-  x-mate(u)-u-v-mate(v)-y with x and y exposed. Any path it finds is
-  augmenting, so a hit proves nu >= n/2 and prunes with no forest search
-  and no write. A miss proves nothing, and the searches above run as they
-  would without the probe. The verdict is nu either way, so the search
+  (``_short_augmenting_path``): u-v-mate(v)-x or
+  u-v-mate(v)-a-mate(a)-x with u and x exposed (or the same with u and v
+  swapped), or x-mate(u)-u-v-mate(v)-y with x and y exposed. Any path it
+  finds is augmenting, so a hit proves nu >= n/2 and prunes with no forest
+  search and no write.
+- A miss decides a tight trigger with n <= 6 on its own. There the stored
+  matching is maximum without uv, so every augmenting path uses uv. Such
+  a path alternates between edges outside and inside the stored matching,
+  so it has at most size + 1 <= 3 edges outside it, uv among them, and
+  length 1, 3 or 5. Length 1 is the exposed pair, pruned already; the
+  probe lists every path of length 3 or 5 through uv, with uv at an end
+  or, at length 5, in the middle. So a miss proves the stored matching
+  maximum, and the edge commits with bound = size and no forest search,
+  the state that the search's failure would leave. Any other miss falls
+  back to the searches above. The verdict is nu either way, so the search
   tree is unchanged.
 
 So the branch is viable iff the stored size stays below n/2, and the edge
 is decided before anything is committed. The stored sizes, the
 exposed-pair test and the probe alone prune most edges, with no write at
-all. Only a trigger that the probe leaves open appends uv to the
-adjacency and runs its searches, and the search that would reach n/2 only
+all. Only a trigger that the probe leaves open runs searches, after it
+appends uv to the adjacency, and the search that would reach n/2 only
 finds its path without flipping it; a pruned trigger then pops the
 appends and the flips of the searches before it, and unmatches an
 exposed pair. A viable edge is committed: its component merge, and one
@@ -67,31 +77,6 @@ needs no undo.
 The components are kept as per-vertex root labels with member lists, so a
 lookup is one read; a merge relabels the smaller list, and its removal
 relabels it back.
-
-With three or more colors the same class state comes back under many
-prefixes, so one search keeps a memo of matching numbers, shared by its
-color classes. Each class keeps its edge set as a bit mask over edge
-indices. The nu of uv's component is a function of the class's edges and
-uv alone, whatever their color. The walk adds edges in index order, so uv
-is the highest edge of ``mask | 1 << index(uv)``, and that key fixes both;
-an edge added out of order skips the memo. The memo maps a key to nu
-capped at n/2 and is read only at a prune trigger:
-
-- A known nu >= n/2 prunes before anything is written.
-- A known nu below n/2 ends the searches once the stored size (after the
-  exposed-pair match) reaches it: the stored matching is then maximum, and
-  the edge commits with bound = size. The final, failed search of the
-  memo-less run is skipped; it would flip nothing, so the state is the
-  same. A known nu equal to the stored size runs no search at all.
-- Otherwise the probe and the searches run as without the memo, and a key
-  not yet known gets their outcome (n/2 for a probe hit).
-
-So verdicts, node counts and avoiders are those of the search without the
-memo. With at most two colors, edge 0 has color 1 and every other edge
-below uv lies in the other class, so a key fixes the whole prefix and no
-key repeats within one search: no memo is kept. ``MEMO_BYTES`` bounds the
-memo's memory, per search and so per worker process; once it is full,
-nothing more is recorded.
 """
 
 from __future__ import annotations
@@ -119,11 +104,6 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 # The search lays out every edge of K_N before its first node: about 3 MB
 # at this cap, which lies far beyond any exhaustive search.
 MAX_VERTICES = 256
-
-# Bytes that one search's matching-number memo may hold. A key is a class's
-# edge set as an int of E bits, E the edge count (4 bytes per 30 bits),
-# and a dict entry with its int header takes about 80 bytes more.
-MEMO_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -184,24 +164,30 @@ def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
                            mate: list[int], u: int, v: int) -> bool:
     """Whether the non-edge uv, whose ends are not both exposed, closes an
     augmenting path of length 3 or 5 for the matching ``mate`` of ``adj``:
-    u-v-mate(v)-x with u and x exposed (or the same with u and v swapped),
-    or x-mate(u)-u-v-mate(v)-y with x and y exposed. Reads only. A True is
-    a proof, as every such path is augmenting; a False proves nothing."""
+    u-v-mate(v)-x or u-v-mate(v)-a-mate(a)-x with u and x exposed (or the
+    same with u and v swapped), or x-mate(u)-u-v-mate(v)-y with x and y
+    exposed. These are all the augmenting paths through uv with at most two
+    matched edges. Reads only. A True is a proof, as every such path is
+    augmenting; a False rules out only these paths."""
     mu, mv = mate[u], mate[v]
-    if mu == -1:
-        for x in adj[mv]:
-            if mate[x] == -1 and x != u:
-                return True
+    if mu != -1 and mv != -1:
+        for x in adj[mu]:
+            if mate[x] == -1:
+                for y in adj[mv]:
+                    if mate[y] == -1 and y != x:
+                        return True
         return False
-    if mv == -1:
-        for y in adj[mu]:
-            if mate[y] == -1 and y != v:
-                return True
-        return False
-    for x in adj[mu]:
-        if mate[x] == -1:
-            for y in adj[mv]:
-                if mate[y] == -1 and y != x:
+    if mu != -1:  # v is the exposed end
+        u, v, mv = v, u, mu
+    near = adj[mv]
+    for x in near:
+        if mate[x] == -1 and x != u:
+            return True
+    for a in near:
+        ma = mate[a]
+        if ma != -1 and a != v:
+            for x in adj[ma]:
+                if mate[x] == -1 and x != u:
                     return True
     return False
 
@@ -214,11 +200,9 @@ class _ColorMatching:
     ``matched[r]`` and ``bound[r]`` belong to the component labelled ``r``:
     its vertices, the number of edges of the stored matching inside it, and
     an upper bound on its matching number. A merge relabels the smaller
-    member list, and its removal relabels it back. ``mask`` is the class's
-    edge set, bit i for the edge of index i. ``forest`` holds the arrays of
-    the blossom search, and ``memo`` the matching numbers by class edge set
-    with uv (None for no memo) with room for ``memo_cap`` entries; every
-    color class of one search shares both.
+    member list, and its removal relabels it back. ``forest`` holds the
+    arrays of the blossom search, which every color class of one search
+    shares.
 
     ``flips`` logs the mates that the blossom searches overwrite, as
     (vertex, old mate). The match of an exposed pair is not logged there:
@@ -232,11 +216,9 @@ class _ColorMatching:
     """
 
     __slots__ = ("root", "members", "adj", "mate", "matched", "bound",
-                 "target", "mask", "trail", "flips", "forest", "memo",
-                 "memo_cap")
+                 "target", "trail", "flips", "forest")
 
-    def __init__(self, n_vertices: int, target: int, forest: _Forest,
-                 memo: dict[int, int] | None = None, memo_cap: int = 0):
+    def __init__(self, n_vertices: int, target: int, forest: _Forest):
         self.root = list(range(n_vertices))
         self.members = [[v] for v in range(n_vertices)]
         self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
@@ -244,19 +226,15 @@ class _ColorMatching:
         self.matched = [0] * n_vertices
         self.bound = [0] * n_vertices
         self.target = target
-        self.mask = 0
         # Per add: root, absorbed root or -1, old matched/bound, flips mark,
-        # old mask, and whether u and v were matched as an exposed pair.
-        self.trail: list[tuple[int, int, int, int, int, int, bool]] = []
+        # and whether u and v were matched as an exposed pair.
+        self.trail: list[tuple[int, int, int, int, int, bool]] = []
         self.flips: list[tuple[int, int]] = []
         self.forest = forest
-        self.memo = memo
-        self.memo_cap = memo_cap
 
-    def add(self, u: int, v: int, idx: int) -> bool:
-        """Add edge uv, whose edge index is ``idx``, and return True if its
-        component's matching number stays below ``target``; otherwise
-        return False and add nothing."""
+    def add(self, u: int, v: int) -> bool:
+        """Add edge uv and return True if its component's matching number
+        stays below ``target``; otherwise return False and add nothing."""
         mate, matched, target = self.mate, self.matched, self.target
         ra, rb = self.root[u], self.root[v]
         size = matched[ra] if ra == rb else matched[ra] + matched[rb]
@@ -277,26 +255,16 @@ class _ColorMatching:
         tight = cap == size + 1
         if cap > order // 2:
             cap = order // 2
-        if cap >= target:
-            key = 0  # where the searches' outcome is to be recorded, or 0
-            known = -1  # the memo's nu of uv's component, or -1
-            memo = self.memo
-            if memo is not None and 1 << idx > self.mask:
-                # uv is the highest edge of the key, which so fixes it.
-                key = self.mask | 1 << idx
-                known = memo.get(key, -1)
-                if known >= target:
-                    return False
-                if known >= 0:
-                    key = 0
+        if cap >= target and size + 1 == target:
             # One augmenting path would reach the target (u and v are not
             # both exposed, or the exposed-pair test would have pruned), so
             # a short one through uv decides without a forest search.
-            if (known < 0 and size + 1 == target
-                    and _short_augmenting_path(self.adj, mate, u, v)):
-                if key and len(memo) < self.memo_cap:
-                    memo[key] = target
+            if _short_augmenting_path(self.adj, mate, u, v):
                 return False
+            if tight and target <= 3:
+                # Every augmenting path uses uv and at most size <= 2
+                # matched edges, so the probe has ruled them all out.
+                cap = size
         adj, flips = self.adj, self.flips
         mark = len(flips)
         adj[u].append(v)
@@ -306,29 +274,19 @@ class _ColorMatching:
             mate[v] = u
             size += 1
         if cap >= target:
-            # A known matching number ends the searches: once the size
-            # reaches it, the stored matching is maximum, as a failed search
-            # would prove.
-            goal = known if known >= 0 else target
-            if size < goal:
-                # After a tight edge every augmenting path uses uv, and an
-                # exposed end of uv is an end of each: one search decides.
-                if tight and mate[u] == -1:
-                    roots = [u]
-                elif tight and mate[v] == -1:
-                    roots = [v]
-                else:
-                    roots = self._exposed(ra, rb)
-                augment = self.forest.augment
-                # Each success adds one matched edge; the search that would
-                # meet the target only has to find its path, not flip it.
-                while augment(adj, mate, roots, flips, size + 1 < target):
-                    size += 1
-                    if size >= goal:
-                        break
-                    roots = self._exposed(ra, rb)
-                if key and len(memo) < self.memo_cap:
-                    memo[key] = size
+            # After a tight edge every augmenting path uses uv, and an
+            # exposed end of uv is an end of each: one search decides.
+            if tight and mate[u] == -1:
+                roots = [u]
+            elif tight and mate[v] == -1:
+                roots = [v]
+            else:
+                roots = self._exposed(ra, rb)
+            augment = self.forest.augment
+            # Each success adds one matched edge; the search that would
+            # meet the target only has to find its path, not flip it.
+            while augment(adj, mate, roots, flips, size + 1 < target):
+                size += 1
                 if size >= target:
                     adj[u].pop()
                     adj[v].pop()
@@ -336,17 +294,14 @@ class _ColorMatching:
                     if exposed_pair:
                         mate[u] = mate[v] = -1
                     return False
+                roots = self._exposed(ra, rb)
             cap = size
         if rb >= 0:
             root = self.root
             for w in members[rb]:
                 root[w] = ra
             members[ra].extend(members[rb])
-        mask = self.mask
-        self.trail.append(
-            (ra, rb, matched[ra], bound[ra], mark, mask, exposed_pair)
-        )
-        self.mask = mask | 1 << idx
+        self.trail.append((ra, rb, matched[ra], bound[ra], mark, exposed_pair))
         matched[ra] = size
         bound[ra] = cap
         return True
@@ -366,7 +321,7 @@ class _ColorMatching:
 
     def remove(self, u: int, v: int) -> None:
         """Undo the latest committed ``add``, which must have been of edge uv."""
-        ra, rb, size, cap, mark, self.mask, pair = self.trail.pop()
+        ra, rb, size, cap, mark, pair = self.trail.pop()
         if len(self.flips) > mark:
             self._rewind(mark)
         if pair:
@@ -398,9 +353,6 @@ class _Searcher:
         self.color_of = [0] * len(self.edge_list)
         self.star_last, self.fresh = self._symmetry()
         self.forest = _Forest(n_vertices)
-        # With at most two colors no memo key repeats within one search.
-        self.memo: dict[int, int] | None = {} if cfg.color_count >= 3 else None
-        self.memo_cap = MEMO_BYTES // (80 + len(self.edge_list) // 7)
         # The ``add`` and ``remove`` of each color's class, by color; a
         # class is built when its color is first offered.
         self.adds: list = [None]
@@ -421,7 +373,7 @@ class _Searcher:
         there are."""
         while len(self.adds) <= hi:
             cls = _ColorMatching(self.cfg.vertex_count, self.cfg.n // 2,
-                                 self.forest, self.memo, self.memo_cap)
+                                 self.forest)
             self.adds.append(cls.add)
             self.removes.append(cls.remove)
         return len(self.adds) - 1
@@ -468,7 +420,7 @@ class _Searcher:
                     self.exhausted = True
                     return
                 nodes += 1
-                if not adds[color](tails[idx], heads[idx], idx):
+                if not adds[color](tails[idx], heads[idx]):
                     color += 1  # pruned: nothing was applied
                     continue
                 color_of[idx] = color
@@ -500,7 +452,7 @@ class _Searcher:
         max_used = max(self.prefix, default=0)
         self._offer(max_used)
         for idx, color in enumerate(self.prefix):
-            applied = self.adds[color](self.tails[idx], self.heads[idx], idx)
+            applied = self.adds[color](self.tails[idx], self.heads[idx])
             assert applied, "a replayed prefix is viable"
             self.color_of[idx] = color
         hit = next(self._dfs(len(self.prefix), max_used, len(self.edge_list)), None)

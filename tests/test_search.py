@@ -22,6 +22,7 @@ from cmstruct import (
     SearchResult,
     check_witness,
     complete_graph,
+    components,
     disjoint_union,
     find_mono_cm,
     matching_number,
@@ -197,16 +198,13 @@ def test_search_finds_affine_type_avoider(monkeypatch):
         return real_augment(forest, *args)
 
     monkeypatch.setattr(search_module._Forest, "augment", counting_augment)
-    searcher = search_module._Searcher(SearchConfig(9, 4, 4, node_budget=10**7))
-    result = searcher.run()
+    result = search_avoider(SearchConfig(9, 4, 4, node_budget=10**7))
     assert result.status == FOUND
     assert result.nodes == 782_094
     assert find_mono_cm(complete_graph(9), result.coloring, 4) is None
-    # Each key the memo has not seen is decided once, by the short-path
-    # probe or by a blossom search: 5,710 keys and 1,546 searches, where
-    # the memo-less search runs 72,101 (231,414 without the probe).
-    assert len(searches) == 1_546
-    assert len(searcher.memo) == 5_710
+    # At n = 4 every prune trigger is tight with one stored edge, so the
+    # short-path probe decides all 231,414 of them: no blossom search runs.
+    assert len(searches) == 0
 
 
 def test_short_path_probe_saves_blossom_searches(monkeypatch):
@@ -223,7 +221,7 @@ def test_short_path_probe_saves_blossom_searches(monkeypatch):
     monkeypatch.setattr(search_module._Forest, "augment", counting_augment)
     result = search_avoider(SearchConfig(11, 2, 8, node_budget=20_000))
     assert result == SearchResult(BUDGET_EXHAUSTED, None, 20_000)
-    assert len(searches) == 8_229
+    assert len(searches) == 8_056
 
 
 def test_budget_exhaustion_is_distinct():
@@ -472,7 +470,6 @@ def _kernel_state(classes):
             [list(a) for a in cls.adj],
             list(cls.root),
             [list(m) for m in cls.members],
-            cls.mask,
             list(cls.trail),
             list(cls.flips),
         )
@@ -511,21 +508,16 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     must restore the initial state.
 
     A trigger that only has to decide first probes the short augmenting
-    paths through the new edge: a hit must prune with no blossom search,
-    and a miss must fall back to the searches.
-
-    A twin set of classes that shares one matching-number memo takes the
-    same walk: after every add and remove its verdict and state must equal
-    those of the memo-less set."""
-    searches = []  # (forest, roots, found, flip, entries logged) per search
+    paths through the new edge: a hit must prune with no blossom search. A
+    miss at a tight trigger with at most 2 stored edges must commit with no
+    blossom search, and any other miss must fall back to the searches."""
+    searches = []  # (roots, found, flip, entries logged) per search
     real_augment = search_module._Forest.augment
 
     def recording_augment(forest, adj, mate, roots, log=None, flip=True):
         logged = len(log or ())
         found = real_augment(forest, adj, mate, roots, log, flip)
-        searches.append(
-            (forest, list(roots), found, flip, len(log or ()) - logged)
-        )
+        searches.append((list(roots), found, flip, len(log or ()) - logged))
         return found
 
     probes = []  # the outcome of each short-path probe
@@ -539,17 +531,14 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     monkeypatch.setattr(search_module, "_short_augmenting_path", recording_probe)
     hits = collections.Counter()
     probe_hits = collections.Counter()
-    probe_misses = 0
-    memo_hits = collections.Counter()
+    probe_misses = collections.Counter()
     rng = random.Random(size)
     edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
 
-    def pop(stack, twins, color_of):
+    def pop(stack, classes, color_of):
         idx = stack.pop()
-        for classes in twins:
-            classes[color_of[idx]].remove(*edges[idx])
+        classes[color_of[idx]].remove(*edges[idx])
         color_of[idx] = 0
-        assert _kernel_state(twins[1]) == _kernel_state(twins[0])
 
     for k in (1, 2, 3, 4):
         for n in (4, 6, 8):
@@ -558,29 +547,19 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                 search_module._ColorMatching(size, n // 2, forest)
                 for _ in range(k)
             ]
-            memo_forest = search_module._Forest(size)
-            memo: dict[int, int] = {}
-            memo_classes = [None] + [
-                search_module._ColorMatching(
-                    size, n // 2, memo_forest, memo, len(edges) ** 2
-                )
-                for _ in range(k)
-            ]
-            twins = (classes, memo_classes)
             color_of = [0] * len(edges)
             initial = _kernel_state(classes)
-            assert _kernel_state(memo_classes) == initial
             stack: list[int] = []
             for _ in range(150):
                 free = [i for i in range(len(edges)) if color_of[i] == 0]
                 if stack and (not free or rng.random() < 0.3):
-                    pop(stack, twins, color_of)
+                    pop(stack, classes, color_of)
                     continue
                 idx = rng.choice(free)
                 color = rng.randint(1, k)
                 # Each edge is offered twice to the same class state, as the
-                # search offers it again under another prefix: a committed
-                # edge is taken back in between.
+                # search offers it again after a backtrack: a committed edge
+                # is taken back in between.
                 for attempt in range(2):
                     shape, ends, exposed, matched = _expected_trigger(
                         classes[color], *edges[idx]
@@ -590,33 +569,9 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                     searches.clear()
                     probes.clear()
                     before = _kernel_state(classes)
-                    viable = classes[color].add(u, v, idx)
-                    kernel_searches = [search[1:] for search in searches]
+                    viable = classes[color].add(u, v)
+                    kernel_searches = list(searches)
                     kernel_probes = list(probes)
-                    searches.clear()
-                    probes.clear()
-                    mask = memo_classes[color].mask
-                    known = memo.get(mask | 1 << idx, -1) if 1 << idx > mask else -1
-                    assert memo_classes[color].add(u, v, idx) == viable
-                    assert _kernel_state(memo_classes) == _kernel_state(classes)
-                    memo_searches = [search[1:] for search in searches]
-                    # The memo twin probes exactly where it misses.
-                    assert probes == (kernel_probes if known < 0 else [])
-                    assert all(search[0] is memo_forest for search in searches)
-                    if known < 0:
-                        # A miss: the same searches run.
-                        assert memo_searches == kernel_searches
-                    elif known >= n // 2:
-                        assert not viable and not memo_searches
-                    elif kernel_searches:
-                        # The known number ends the searches: the kernel's
-                        # final, failed search does not run.
-                        assert not kernel_searches[-1][1]
-                        assert memo_searches == kernel_searches[:-1]
-                    if (kernel_searches or kernel_probes) and not (
-                        memo_searches or probes
-                    ):
-                        memo_hits["commit" if viable else "prune"] += 1
                     cls = Graph.from_edges(
                         size,
                         [edges[i] for i in stack if color_of[i] == color]
@@ -636,10 +591,20 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                             assert not kernel_searches and not viable
                             assert fresh >= n // 2
                             probe_hits[shape] += 1
+                        elif shape != "non-tight" and matched <= 2:
+                            # Every augmenting path uses uv and has length 3
+                            # or 5, and the probe lists them all: the stored
+                            # matching is maximum, and the edge commits with
+                            # bound = size and no blossom search.
+                            assert viable and not kernel_searches
+                            root = classes[color].root[u]
+                            assert classes[color].bound[root] == matched
+                            assert classes[color].matched[root] == matched
+                            probe_misses["commit"] += 1
                         else:
-                            # A miss falls back to a deciding search.
+                            # Any other miss falls back to a deciding search.
                             assert kernel_searches and not kernel_searches[0][2]
-                            probe_misses += 1
+                            probe_misses["search"] += 1
                     elif kernel_searches and not pair:
                         # A trigger that skips the probe has flips to make.
                         assert kernel_searches[0][2]
@@ -670,32 +635,43 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                         color_of[idx] = color
                         stack.append(idx)
                         if attempt == 0:
-                            pop(stack, twins, color_of)
+                            pop(stack, classes, color_of)
                     else:
                         # A pruned edge is not added, so nothing is undone.
                         assert _kernel_state(classes) == before
             while stack:
-                pop(stack, twins, color_of)
+                pop(stack, classes, color_of)
             assert _kernel_state(classes) == initial
-            for f in (forest, memo_forest):
-                assert f.parent == [-1] * size
-                assert f.base == list(range(size))
-                assert not any(f.even + f.seen + f.in_blossom)
+            assert forest.parent == [-1] * size
+            assert forest.base == list(range(size))
+            assert not any(forest.even + forest.seen + forest.in_blossom)
     # The walks reach every trigger shape, the probe decides both tight
-    # shapes and misses too, and the memo answers some triggers in place of
-    # a probe or a search, both ways.
-    assert len(hits) == 3, hits
+    # shapes, and its misses both commit and fall back to a search. A tight
+    # trigger searches only at n = 8, on a component of 8 vertices.
+    assert len(hits) == (3 if size >= 8 else 1), hits
     tight = {"tight, exposed end", "tight, both ends matched"}
     assert tight <= set(probe_hits), probe_hits
-    assert probe_misses > 0
-    assert set(memo_hits) == {"commit", "prune"}, memo_hits
+    assert set(probe_misses) == {"commit", "search"}, probe_misses
+
+
+def _probe_shape(adj, mate, u, v):
+    """The shortest augmenting path through the non-edge uv that the probe
+    can hit: its length, and for length 5 where uv lies on it."""
+    if -1 not in (mate[u], mate[v]):
+        return "length 5, uv in the middle"
+    end, other = (u, v) if mate[u] == -1 else (v, u)
+    if any(mate[x] == -1 and x != end for x in adj[mate[other]]):
+        return "length 3"
+    return "length 5, uv at an end"
 
 
 def test_short_path_probe_is_sound():
     """On a graph with a stored maximum matching, a probe hit on a non-edge
     uv, not between two exposed vertices, must mean that uv raises the
-    matching number. Both path lengths are found, and some rises are
-    missed: those need the blossom search."""
+    matching number. Where the components of u and v hold at most 2 matched
+    edges, a miss must mean that it does not: every augmenting path then has
+    length 3 or 5, and the probe lists them all. Every path shape is found,
+    and some rises are missed: those need the blossom search."""
     rng = random.Random(0)
     outcomes = collections.Counter()
     for _ in range(200):
@@ -705,6 +681,7 @@ def test_short_path_probe_is_sound():
         for a, b in maximum_matching(g).edges:
             mate[a], mate[b] = b, a
         nu = matching_number(g)
+        label = components(g).labels
         for u, v in itertools.combinations(range(size), 2):
             if g.has_edge(u, v) or mate[u] == mate[v] == -1:
                 continue
@@ -714,46 +691,19 @@ def test_short_path_probe_is_sound():
             if size <= 7:
                 assert rises == (brute_matching_number(plus) == nu + 1)
             assert rises or not hit, (g.edges, u, v)
+            near = {label[u], label[v]}
+            if sum(mate[w] > w for w in range(size) if label[w] in near) <= 2:
+                assert hit == rises, (g.edges, u, v)
             if hit:
-                outcomes["length 3" if -1 in (mate[u], mate[v]) else "length 5"] += 1
+                outcomes[_probe_shape(g.adjacency, mate, u, v)] += 1
             elif rises:
                 outcomes["missed"] += 1
-    assert set(outcomes) == {"length 3", "length 5", "missed"}, outcomes
-
-
-def test_known_matching_number_ends_the_searches(monkeypatch):
-    # On K_6 with n = 6, edge 14 = (4, 5) joins vertex 5 to the class
-    # {01, 03, 04, 24}, whose matching number is 2. Adding 01 and 24 first
-    # stores a matching of size 2 and records the key; adding 04 first
-    # stores only 04, so a later trigger on the same key starts at size 1.
-    found = []
-    real_augment = search_module._Forest.augment
-
-    def recording_augment(forest, adj, mate, roots, log=None, flip=True):
-        found.append(real_augment(forest, adj, mate, roots, log, flip))
-        return found[-1]
-
-    monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
-    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
-    memo: dict[int, int] = {}
-    forest = search_module._Forest(6)
-    kernel = search_module._ColorMatching(6, 3, forest)
-    twin = search_module._ColorMatching(6, 3, forest, memo, 100)
-    for order in ([0, 10, 3, 2], [3, 0, 10, 2]):
-        searches = []
-        for cls in (kernel, twin):
-            for idx in order + [14]:
-                found.clear()
-                assert cls.add(*edges[idx], idx)
-            searches.append(list(found))
-        assert _kernel_state([None, twin]) == _kernel_state([None, kernel])
-        for cls in (kernel, twin):
-            for idx in reversed(order + [14]):
-                cls.remove(*edges[idx])
-        assert memo == {1 | 1 << 2 | 1 << 3 | 1 << 10 | 1 << 14: 2}
-    # The kernel augments once and then fails; the twin stops at the known
-    # matching number.
-    assert searches == [[True, False], [True]]
+    assert set(outcomes) == {
+        "length 3",
+        "length 5, uv at an end",
+        "length 5, uv in the middle",
+        "missed",
+    }, outcomes
 
 
 def test_remove_runs_once_per_committed_add(monkeypatch):
@@ -764,9 +714,9 @@ def test_remove_runs_once_per_committed_add(monkeypatch):
     committed = []  # (class, edge) of the edges applied now
     counts = collections.Counter()
 
-    def counting_add(cls, u, v, idx):
+    def counting_add(cls, u, v):
         counts["add"] += 1
-        viable = real_add(cls, u, v, idx)
+        viable = real_add(cls, u, v)
         if viable:
             counts["committed"] += 1
             committed.append((cls, (u, v)))
@@ -798,7 +748,7 @@ def test_certified_search_unwinds_every_class(shape, nodes, monkeypatch):
     real_remove = search_module._ColorMatching.remove
 
     def counting_remove(cls, u, v):
-        _, absorbed, _, _, _, _, pair = cls.trail[-1]
+        _, absorbed, _, _, _, pair = cls.trail[-1]
         undone["merge"] += absorbed >= 0
         undone["pair"] += pair
         real_remove(cls, u, v)
@@ -828,42 +778,6 @@ def test_search_budget_boundaries():
             assert result == SearchResult(BUDGET_EXHAUSTED, None, budget), budget
         else:
             assert result == SearchResult(CERTIFIED_NONE, None, full)
-
-
-def test_search_memo_needs_three_colors_and_stays_within_its_cap(monkeypatch):
-    # With at most two colors edge 0 is color 1, so a class's edge set and
-    # the new edge fix the whole prefix: no key repeats, and none is kept.
-    for cfg in (SearchConfig(11, 2, 8, node_budget=100_000), SearchConfig(6, 1, 4)):
-        assert search_module._Searcher(cfg).memo is None
-    for k in (3, 4, 10**5):
-        assert search_module._Searcher(SearchConfig(9, k, 4)).memo == {}
-    # A byte budget of three entries: the full memo takes no more, and the
-    # result is that of the memo-less search.
-    monkeypatch.setattr(search_module, "MEMO_BYTES", 3 * (80 + 28 // 7))
-    for shape, status, nodes in [((8, 3, 4), CERTIFIED_NONE, 6_821),
-                                 ((7, 4, 4), FOUND, 35_656)]:
-        searcher = search_module._Searcher(SearchConfig(*shape))
-        result = searcher.run()
-        assert (result.status, result.nodes) == (status, nodes)
-        # Entries are never dropped, so the final size is the largest.
-        assert len(searcher.memo) == searcher.memo_cap == 3
-        plain = search_module._Searcher(SearchConfig(*shape))
-        plain.memo = None
-        assert plain.run() == result
-    # Out of index order a key would not fix uv: such an add skips the memo.
-    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
-
-    def memo_after(indices):
-        memo = {}
-        cls = search_module._ColorMatching(
-            6, 2, search_module._Forest(6), memo, len(edges)
-        )
-        for idx in indices:
-            cls.add(*edges[idx], idx)
-        return memo
-
-    assert memo_after(range(len(edges)))
-    assert memo_after(reversed(range(len(edges)))) == {}
 
 
 def test_ramsey_values():
