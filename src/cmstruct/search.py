@@ -44,22 +44,26 @@ size <= nu <= bound throughout:
 - A trigger that only has to decide, because one augmenting path reaches
   n/2 (the stored size is n/2 - 1, as at every tight trigger), first
   probes the short augmenting paths through uv
-  (``_short_augmenting_path``): u-v-mate(v)-x or
-  u-v-mate(v)-a-mate(a)-x with u and x exposed (or the same with u and v
-  swapped), or x-mate(u)-u-v-mate(v)-y with x and y exposed. Any path it
-  finds is augmenting, so a hit proves nu >= n/2 and prunes with no forest
-  search and no write.
-- A miss decides a tight trigger with n <= 6 on its own. There the stored
+  (``_short_augmenting_path``), those with at most two matched edges, and
+  at a tight trigger with three stored edges those with three:
+  u-v-mate(v)-x, u-v-mate(v)-a-mate(a)-x or
+  u-v-mate(v)-a-mate(a)-b-mate(b)-x with u and x exposed (or the same
+  with u and v swapped), and x-mate(u)-u-v-mate(v)-y or
+  x-mate(u)-u-v-mate(v)-a-mate(a)-y with x != y exposed (or the latter
+  with u and v swapped). It lists no path with more matched edges than the
+  stored size. Any path it finds is augmenting, so a hit proves
+  nu >= n/2 and prunes with no forest search and no write.
+- A miss decides a tight trigger with n <= 8 on its own. There the stored
   matching is maximum without uv, so every augmenting path uses uv. Such
   a path alternates between edges outside and inside the stored matching,
-  so it has at most size + 1 <= 3 edges outside it, uv among them, and
-  length 1, 3 or 5. Length 1 is the exposed pair, pruned already; the
-  probe lists every path of length 3 or 5 through uv, with uv at an end
-  or, at length 5, in the middle. So a miss proves the stored matching
-  maximum, and the edge commits with bound = size and no forest search,
-  the state that the search's failure would leave. Any other miss falls
-  back to the searches above. The verdict is nu either way, so the search
-  tree is unchanged.
+  so it holds at most size <= 3 matched edges and has length 1, 3, 5 or
+  7. Length 1 is the exposed pair, pruned already; the probe lists every
+  path of length 3, 5 or 7 through uv, with uv at an end or, from
+  length 5, in the middle. So a miss proves the stored matching maximum,
+  and the edge commits with bound = size and no forest search, the state
+  that the search's failure would leave. Any other miss falls back to the
+  searches above. The verdict is nu either way, so the search tree is
+  unchanged.
 
 So the branch is viable iff the stored size stays below n/2, and the edge
 is decided before anything is committed. The stored sizes, the
@@ -161,14 +165,18 @@ class RamseyResult:
 
 
 def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
-                           mate: list[int], u: int, v: int) -> bool:
+                           mate: list[int], u: int, v: int, most: int) -> bool:
     """Whether the non-edge uv, whose ends are not both exposed, closes an
-    augmenting path of length 3 or 5 for the matching ``mate`` of ``adj``:
-    u-v-mate(v)-x or u-v-mate(v)-a-mate(a)-x with u and x exposed (or the
-    same with u and v swapped), or x-mate(u)-u-v-mate(v)-y with x and y
-    exposed. These are all the augmenting paths through uv with at most two
-    matched edges. Reads only. A True is a proof, as every such path is
-    augmenting; a False rules out only these paths."""
+    augmenting path with at most ``most`` matched edges for the matching
+    ``mate`` of ``adj``; ``most`` is 1 to 3, and at least 2 if u and v are
+    both matched. With u and x exposed (or the same with u and v swapped)
+    these are u-v-mate(v)-x, u-v-mate(v)-a-mate(a)-x and
+    u-v-mate(v)-a-mate(a)-b-mate(b)-x; with x != y exposed they are
+    x-mate(u)-u-v-mate(v)-y and x-mate(u)-u-v-mate(v)-a-mate(a)-y (or the
+    latter with u and v swapped). These are all the augmenting paths
+    through uv with at most three matched edges. Reads only. A True is a
+    proof, as every such path is augmenting; a False rules out only the
+    paths with at most ``most`` matched edges."""
     mu, mv = mate[u], mate[v]
     if mu != -1 and mv != -1:
         for x in adj[mu]:
@@ -176,6 +184,19 @@ def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
                 for y in adj[mv]:
                     if mate[y] == -1 and y != x:
                         return True
+        if most < 3:
+            return False
+        # One more matched edge, beyond mate(v) or (swapped) beyond mate(u).
+        for w, mw, z, mz in ((u, mu, v, mv), (v, mv, u, mu)):
+            ends = [x for x in adj[mw] if mate[x] == -1]
+            if not ends:
+                continue
+            for a in adj[mz]:
+                ma = mate[a]
+                if ma != -1 and a != z and a != w and a != mw:
+                    for y in adj[ma]:
+                        if mate[y] == -1 and (y != ends[0] or len(ends) > 1):
+                            return True
         return False
     if mu != -1:  # v is the exposed end
         u, v, mv = v, u, mu
@@ -183,12 +204,25 @@ def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
     for x in near:
         if mate[x] == -1 and x != u:
             return True
+    if most < 2:
+        return False
     for a in near:
         ma = mate[a]
         if ma != -1 and a != v:
             for x in adj[ma]:
                 if mate[x] == -1 and x != u:
                     return True
+    if most < 3:
+        return False
+    for a in near:
+        ma = mate[a]
+        if ma != -1 and a != v:
+            for b in adj[ma]:
+                mb = mate[b]
+                if mb != -1 and b != a and b != v and b != mv:
+                    for x in adj[mb]:
+                        if mate[x] == -1 and x != u:
+                            return True
     return False
 
 
@@ -259,11 +293,13 @@ class _ColorMatching:
             # One augmenting path would reach the target (u and v are not
             # both exposed, or the exposed-pair test would have pruned), so
             # a short one through uv decides without a forest search.
-            if _short_augmenting_path(self.adj, mate, u, v):
+            # After a tight edge every augmenting path uses uv and at most
+            # size matched edges, so up to 3 the probe lists them all.
+            complete = tight and size <= 3
+            if _short_augmenting_path(self.adj, mate, u, v,
+                                      size if complete else min(size, 2)):
                 return False
-            if tight and target <= 3:
-                # Every augmenting path uses uv and at most size <= 2
-                # matched edges, so the probe has ruled them all out.
+            if complete:
                 cap = size
         adj, flips = self.adj, self.flips
         mark = len(flips)

@@ -208,9 +208,10 @@ def test_search_finds_affine_type_avoider(monkeypatch):
 
 
 def test_short_path_probe_saves_blossom_searches(monkeypatch):
-    # On K_11 with k = 2, n = 8 the short-path probe decides over half the
-    # prune triggers: without it the same 20,000 nodes run 17,654 blossom
-    # searches.
+    # On K_11 with k = 2, n = 8 the short-path probe decides every tight
+    # prune trigger, since it lists the augmenting paths with up to three
+    # matched edges, and the searches left are at non-tight triggers:
+    # without the probe the same 20,000 nodes run 17,654 blossom searches.
     searches = []
     real_augment = search_module._Forest.augment
 
@@ -221,7 +222,7 @@ def test_short_path_probe_saves_blossom_searches(monkeypatch):
     monkeypatch.setattr(search_module._Forest, "augment", counting_augment)
     result = search_avoider(SearchConfig(11, 2, 8, node_budget=20_000))
     assert result == SearchResult(BUDGET_EXHAUSTED, None, 20_000)
-    assert len(searches) == 8_056
+    assert len(searches) == 2_874
 
 
 def test_budget_exhaustion_is_distinct():
@@ -509,7 +510,7 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
 
     A trigger that only has to decide first probes the short augmenting
     paths through the new edge: a hit must prune with no blossom search. A
-    miss at a tight trigger with at most 2 stored edges must commit with no
+    miss at a tight trigger with at most 3 stored edges must commit with no
     blossom search, and any other miss must fall back to the searches."""
     searches = []  # (roots, found, flip, entries logged) per search
     real_augment = search_module._Forest.augment
@@ -523,8 +524,8 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     probes = []  # the outcome of each short-path probe
     real_probe = search_module._short_augmenting_path
 
-    def recording_probe(adj, mate, u, v):
-        probes.append(real_probe(adj, mate, u, v))
+    def recording_probe(adj, mate, u, v, most):
+        probes.append(real_probe(adj, mate, u, v, most))
         return probes[-1]
 
     monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
@@ -532,6 +533,7 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     hits = collections.Counter()
     probe_hits = collections.Counter()
     probe_misses = collections.Counter()
+    committed = set()  # the stored sizes of tight probe misses that commit
     rng = random.Random(size)
     edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
 
@@ -541,7 +543,9 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
         color_of[idx] = 0
 
     for k in (1, 2, 3, 4):
-        for n in (4, 6, 8):
+        # A tight trigger runs a search only from n = 10, which needs 10
+        # vertices.
+        for n in (4, 6, 8, 10) if size >= 10 else (4, 6, 8):
             forest = search_module._Forest(size)
             classes = [None] + [
                 search_module._ColorMatching(size, n // 2, forest)
@@ -591,16 +595,17 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                             assert not kernel_searches and not viable
                             assert fresh >= n // 2
                             probe_hits[shape] += 1
-                        elif shape != "non-tight" and matched <= 2:
-                            # Every augmenting path uses uv and has length 3
-                            # or 5, and the probe lists them all: the stored
-                            # matching is maximum, and the edge commits with
-                            # bound = size and no blossom search.
+                        elif shape != "non-tight" and matched <= 3:
+                            # Every augmenting path uses uv and has at most 3
+                            # matched edges, and the probe lists them all: the
+                            # stored matching is maximum, and the edge commits
+                            # with bound = size and no blossom search.
                             assert viable and not kernel_searches
                             root = classes[color].root[u]
                             assert classes[color].bound[root] == matched
                             assert classes[color].matched[root] == matched
                             probe_misses["commit"] += 1
+                            committed.add(matched)
                         else:
                             # Any other miss falls back to a deciding search.
                             assert kernel_searches and not kernel_searches[0][2]
@@ -646,37 +651,60 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
             assert forest.base == list(range(size))
             assert not any(forest.even + forest.seen + forest.in_blossom)
     # The walks reach every trigger shape, the probe decides both tight
-    # shapes, and its misses both commit and fall back to a search. A tight
-    # trigger searches only at n = 8, on a component of 8 vertices.
-    assert len(hits) == (3 if size >= 8 else 1), hits
+    # shapes, and its misses both commit and fall back to a search. A miss
+    # with 3 stored edges commits from n = 8, on a component of 8 vertices,
+    # and a tight trigger searches only from n = 10.
+    assert len(hits) == (3 if size >= 10 else 1), hits
     tight = {"tight, exposed end", "tight, both ends matched"}
     assert tight <= set(probe_hits), probe_hits
     assert set(probe_misses) == {"commit", "search"}, probe_misses
+    assert max(committed) == (3 if size >= 8 else 2), committed
 
 
-def _probe_shape(adj, mate, u, v):
-    """The shortest augmenting path through the non-edge uv that the probe
-    can hit: its length, and for length 5 where uv lies on it."""
-    if -1 not in (mate[u], mate[v]):
-        return "length 5, uv in the middle"
-    end, other = (u, v) if mate[u] == -1 else (v, u)
-    if any(mate[x] == -1 and x != end for x in adj[mate[other]]):
-        return "length 3"
-    return "length 5, uv at an end"
+def _fewest_matched_edges(g, mate, u, v, most):
+    """The fewest matched edges, up to ``most``, on an augmenting path for
+    ``mate`` in g plus the edge uv that runs through uv, by exhaustive
+    search over the simple alternating paths; None if there is none."""
+    best = None
+
+    def walk(x, visited, through, count):
+        nonlocal best
+        for y in [*g.neighbors(x), *({u: [v], v: [u]}.get(x, ()))]:
+            if y in visited:
+                continue
+            uses = through or {x, y} == {u, v}
+            if mate[y] == -1:
+                if uses and (best is None or count < best):
+                    best = count
+            elif count < most:
+                walk(mate[y], visited | {y, mate[y]}, uses, count + 1)
+
+    for s in range(g.vertex_count):
+        if mate[s] == -1:
+            walk(s, frozenset([s]), False, 0)
+    return best
 
 
 def test_short_path_probe_is_sound():
-    """On a graph with a stored maximum matching, a probe hit on a non-edge
-    uv, not between two exposed vertices, must mean that uv raises the
-    matching number. Where the components of u and v hold at most 2 matched
-    edges, a miss must mean that it does not: every augmenting path then has
-    length 3 or 5, and the probe lists them all. Every path shape is found,
-    and some rises are missed: those need the blossom search."""
+    """On a graph with a stored maximum matching, the probe with ``most``
+    on a non-edge uv, not between two exposed vertices, must hit exactly
+    when an augmenting path through uv has at most ``most`` matched edges,
+    and a hit must mean that uv raises the matching number. Where the
+    components of u and v hold at most ``most`` matched edges, a miss must
+    mean that it does not: every augmenting path then uses uv and at most
+    ``most`` matched edges, and the probe lists them all. Every path shape
+    is found, and some rises are missed: those need the blossom search."""
     rng = random.Random(0)
-    outcomes = collections.Counter()
+    graphs = []
     for _ in range(200):
         size = rng.randint(4, 10)
-        g = random_graph(rng, size, rng.uniform(0.15, 0.5))
+        graphs.append(random_graph(rng, size, rng.uniform(0.15, 0.5)))
+    # A path on 9 vertices and one isolated vertex: an edge between that
+    # vertex and the path can close an augmenting path with 4 matched edges.
+    graphs.append(Graph.from_edges(10, [(i, i + 1) for i in range(8)]))
+    outcomes = collections.Counter()
+    for g in graphs:
+        size = g.vertex_count
         mate = [-1] * size
         for a, b in maximum_matching(g).edges:
             mate[a], mate[b] = b, a
@@ -685,23 +713,35 @@ def test_short_path_probe_is_sound():
         for u, v in itertools.combinations(range(size), 2):
             if g.has_edge(u, v) or mate[u] == mate[v] == -1:
                 continue
-            hit = search_module._short_augmenting_path(g.adjacency, mate, u, v)
             plus = Graph.from_edges(size, [*g.edges, (u, v)])
             rises = matching_number(plus) == nu + 1
             if size <= 7:
                 assert rises == (brute_matching_number(plus) == nu + 1)
-            assert rises or not hit, (g.edges, u, v)
+            fewest = _fewest_matched_edges(g, mate, u, v, 3)
             near = {label[u], label[v]}
-            if sum(mate[w] > w for w in range(size) if label[w] in near) <= 2:
-                assert hit == rises, (g.edges, u, v)
-            if hit:
-                outcomes[_probe_shape(g.adjacency, mate, u, v)] += 1
+            stored = sum(mate[w] > w for w in range(size) if label[w] in near)
+            # With both ends of uv matched a path holds 2 or more matched
+            # edges, and uv lies in its middle.
+            middle = -1 not in (mate[u], mate[v])
+            for most in (2, 3) if middle else (1, 2, 3):
+                hit = search_module._short_augmenting_path(
+                    g.adjacency, mate, u, v, most)
+                assert hit == (fewest is not None and fewest <= most), (
+                    g.edges, u, v, most)
+                assert rises or not hit, (g.edges, u, v, most)
+                if stored <= most:
+                    assert hit == rises, (g.edges, u, v, most)
+            if fewest is not None:
+                where = "uv in the middle" if middle else "uv at an end"
+                outcomes[f"length {2 * fewest + 1}, {where}"] += 1
             elif rises:
                 outcomes["missed"] += 1
     assert set(outcomes) == {
-        "length 3",
+        "length 3, uv at an end",
         "length 5, uv at an end",
         "length 5, uv in the middle",
+        "length 7, uv at an end",
+        "length 7, uv in the middle",
         "missed",
     }, outcomes
 
