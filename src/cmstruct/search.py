@@ -20,63 +20,50 @@ The prune test is incremental and gives the same verdict as a fresh
 matching: a branch dies iff the component that the new edge joins in its
 color class now has matching number nu >= n/2. Per color the search keeps
 an adjacency list, a mate array (the stored matching) and, for each
-component, the stored matching's size and an upper bound on nu, with
-size <= nu <= bound throughout:
+component, the stored matching's size. One invariant holds after every
+committed edge: the stored matching is maximum in every component, so its
+size is nu. By Berge's theorem a matching is maximum iff it has no
+augmenting path, and this decides each new edge uv:
 
-- Adding one edge raises nu by at most one, so an edge merging components
-  A and B gets bound(A) + bound(B) + 1, an edge inside one component gets
-  bound + 1, and either is capped at half the component's order.
-- If both ends are exposed they are matched at once. This match is
-  recorded as a flag of the edge's trail entry, not as mate flips.
-- Only when bound >= n/2 > size does the search look further, with an
-  Edmonds forest search for an augmenting path (``matching._Forest``).
-  If every merged part was tight (bound == size) before the edge uv, the
-  stored matching was maximum in the graph without uv. So every
-  augmenting path of the graph with uv uses uv, and one search decides:
-  rooted at an exposed end of uv, which is then an end of every such
-  path, or else at all exposed vertices of the component. Success raises
-  the size to the bound; failure proves the matching maximum, and the
-  bound drops to its size.
-- Otherwise the search is rooted at all exposed vertices of the
-  component, where it finds an augmenting path iff one exists, and it
-  repeats until it fails (the bound drops to the size) or the size reaches
-  n/2: at most n/2 - size + 1 searches.
-- A trigger that only has to decide, because one augmenting path reaches
-  n/2 (the stored size is n/2 - 1, as at every tight trigger), first
-  probes the short augmenting paths through uv
-  (``_short_augmenting_path``), those with at most two matched edges, and
-  at a tight trigger with three stored edges those with three:
-  u-v-mate(v)-x, u-v-mate(v)-a-mate(a)-x or
+- Before uv the stored matching is maximum in the part that uv joins,
+  also when uv merges two components, as the union of their maximum
+  matchings is maximum in their disjoint union. So every augmenting path
+  of that part with uv uses uv, and adding uv raises nu by at most one.
+- If both ends are exposed, uv is itself such a path: the edge prunes if
+  the size then reaches n/2, and otherwise u and v are matched at once.
+  This match is recorded as a flag of the edge's trail entry, not as mate
+  flips.
+- If the stored matching leaves at most one vertex of the part exposed,
+  nu cannot rise, and the edge commits with no probe.
+- Otherwise the probe ``_short_augmenting_path`` lists the augmenting
+  paths through uv with at most three matched edges (and at most the
+  stored size): u-v-mate(v)-x, u-v-mate(v)-a-mate(a)-x or
   u-v-mate(v)-a-mate(a)-b-mate(b)-x with u and x exposed (or the same
   with u and v swapped), and x-mate(u)-u-v-mate(v)-y or
   x-mate(u)-u-v-mate(v)-a-mate(a)-y with x != y exposed (or the latter
-  with u and v swapped). It lists no path with more matched edges than the
-  stored size. Any path it finds is augmenting, so a hit proves
-  nu >= n/2 and prunes with no forest search and no write.
-- A miss decides a tight trigger with n <= 8 on its own. There the stored
-  matching is maximum without uv, so every augmenting path uses uv. Such
-  a path alternates between edges outside and inside the stored matching,
-  so it holds at most size <= 3 matched edges and has length 1, 3, 5 or
-  7. Length 1 is the exposed pair, pruned already; the probe lists every
-  path of length 3, 5 or 7 through uv, with uv at an end or, from
-  length 5, in the middle. So a miss proves the stored matching maximum,
-  and the edge commits with bound = size and no forest search, the state
-  that the search's failure would leave. Any other miss falls back to the
-  searches above. The verdict is nu either way, so the search tree is
-  unchanged.
+  with u and v swapped). A hit is augmenting, so nu rises by one: the
+  edge prunes if that reaches n/2, and otherwise the path is flipped.
+- A path alternates between edges outside and inside the stored
+  matching, so it holds at most size matched edges. With size <= 3 the
+  probe lists every augmenting path through uv, and a miss proves the
+  stored matching still maximum: the edge commits with the size unchanged.
+- Only a miss with size >= 4 (so n >= 10) runs an Edmonds forest search
+  (``matching._Forest``), rooted at an exposed end of uv, which is an end
+  of every augmenting path, or else at all exposed vertices of the part.
+  It finds an augmenting path iff one exists. The path that would reach
+  n/2 is only found, and the edge prunes; any other is flipped. A failed
+  search leaves the size unchanged.
 
-So the branch is viable iff the stored size stays below n/2, and the edge
-is decided before anything is committed. The stored sizes, the
-exposed-pair test and the probe alone prune most edges, with no write at
-all. Only a trigger that the probe leaves open runs searches, after it
-appends uv to the adjacency, and the search that would reach n/2 only
-finds its path without flipping it; a pruned trigger then pops the
-appends and the flips of the searches before it, and unmatches an
-exposed pair. A viable edge is committed: its component merge, and one
-trail entry from which ``remove`` restores everything in strict LIFO
-order. ``remove`` rewinds flips only where the edge's searches made some,
-then unmatches the exposed pair. So a pruned node leaves no trace and
-needs no undo.
+Either way the stored size after uv is its part's nu, so the invariant
+holds and the verdict is that of a fresh matching; the search tree does
+not depend on how the stored matching was found. Each edge is decided
+before anything is committed, and a pruned edge writes nothing: the probe
+only reads, and the forest search holds uv in the adjacency only while it
+runs and finds the path that prunes without flipping it. A viable edge is
+committed: its flips, each logged with the old mate, its component merge,
+and one trail entry from which ``remove`` restores everything in strict
+LIFO order. ``remove`` rewinds the logged flips, then unmatches the
+exposed pair. So a pruned node leaves no trace and needs no undo.
 
 The components are kept as per-vertex root labels with member lists, so a
 lookup is one read; a merge relabels the smaller list, and its removal
@@ -165,27 +152,27 @@ class RamseyResult:
 
 
 def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
-                           mate: list[int], u: int, v: int, most: int) -> bool:
-    """Whether the non-edge uv, whose ends are not both exposed, closes an
-    augmenting path with at most ``most`` matched edges for the matching
-    ``mate`` of ``adj``; ``most`` is 1 to 3, and at least 2 if u and v are
-    both matched. With u and x exposed (or the same with u and v swapped)
-    these are u-v-mate(v)-x, u-v-mate(v)-a-mate(a)-x and
+                           mate: list[int], u: int, v: int,
+                           most: int) -> list[int] | None:
+    """An augmenting path through the non-edge uv, whose ends are not both
+    exposed, with at most ``most`` matched edges for the matching ``mate``
+    of ``adj``, as its vertices from one exposed end to the other; None if
+    there is none. ``most`` is 1 to 3, and at least 2 if u and v are both
+    matched. With u and x exposed (or the same with u and v swapped) the
+    paths are u-v-mate(v)-x, u-v-mate(v)-a-mate(a)-x and
     u-v-mate(v)-a-mate(a)-b-mate(b)-x; with x != y exposed they are
     x-mate(u)-u-v-mate(v)-y and x-mate(u)-u-v-mate(v)-a-mate(a)-y (or the
     latter with u and v swapped). These are all the augmenting paths
-    through uv with at most three matched edges. Reads only. A True is a
-    proof, as every such path is augmenting; a False rules out only the
-    paths with at most ``most`` matched edges."""
+    through uv with at most three matched edges. Reads only."""
     mu, mv = mate[u], mate[v]
     if mu != -1 and mv != -1:
         for x in adj[mu]:
             if mate[x] == -1:
                 for y in adj[mv]:
                     if mate[y] == -1 and y != x:
-                        return True
+                        return [x, mu, u, v, mv, y]
         if most < 3:
-            return False
+            return None
         # One more matched edge, beyond mate(v) or (swapped) beyond mate(u).
         for w, mw, z, mz in ((u, mu, v, mv), (v, mv, u, mu)):
             ends = [x for x in adj[mw] if mate[x] == -1]
@@ -195,25 +182,27 @@ def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
                 ma = mate[a]
                 if ma != -1 and a != z and a != w and a != mw:
                     for y in adj[ma]:
-                        if mate[y] == -1 and (y != ends[0] or len(ends) > 1):
-                            return True
-        return False
+                        if mate[y] == -1:
+                            for x in ends:
+                                if x != y:
+                                    return [x, mw, w, z, mz, a, ma, y]
+        return None
     if mu != -1:  # v is the exposed end
         u, v, mv = v, u, mu
     near = adj[mv]
     for x in near:
         if mate[x] == -1 and x != u:
-            return True
+            return [u, v, mv, x]
     if most < 2:
-        return False
+        return None
     for a in near:
         ma = mate[a]
         if ma != -1 and a != v:
             for x in adj[ma]:
                 if mate[x] == -1 and x != u:
-                    return True
+                    return [u, v, mv, a, ma, x]
     if most < 3:
-        return False
+        return None
     for a in near:
         ma = mate[a]
         if ma != -1 and a != v:
@@ -222,35 +211,36 @@ def _short_augmenting_path(adj: tuple[tuple[int, ...], ...] | list[list[int]],
                 if mb != -1 and b != a and b != v and b != mv:
                     for x in adj[mb]:
                         if mate[x] == -1 and x != u:
-                            return True
-    return False
+                            return [u, v, mv, a, ma, b, mb, x]
+    return None
 
 
 class _ColorMatching:
     """One color class of the search: its components, its adjacency and a
-    stored matching.
+    maximum matching of each component.
 
-    ``root[w]`` labels the component of vertex ``w``, and ``members[r]``,
-    ``matched[r]`` and ``bound[r]`` belong to the component labelled ``r``:
-    its vertices, the number of edges of the stored matching inside it, and
-    an upper bound on its matching number. A merge relabels the smaller
-    member list, and its removal relabels it back. ``forest`` holds the
-    arrays of the blossom search, which every color class of one search
-    shares.
+    ``root[w]`` labels the component of vertex ``w``, and ``members[r]`` and
+    ``matched[r]`` belong to the component labelled ``r``: its vertices and
+    the number of edges of the stored matching inside it, which after every
+    committed ``add`` is the component's matching number. A merge relabels
+    the smaller member list, and its removal relabels it back. ``forest``
+    holds the arrays of the blossom search, which every color class of one
+    search shares.
 
-    ``flips`` logs the mates that the blossom searches overwrite, as
-    (vertex, old mate). The match of an exposed pair is not logged there:
-    the edge's trail entry flags it.
+    ``flips`` logs the mates that augmenting paths overwrite, those of the
+    short-path probe and of the blossom search alike, as (vertex, old
+    mate). The match of an exposed pair is not logged there: the edge's
+    trail entry flags it.
 
     ``add`` decides before it commits: a pruned edge leaves every field as
     it found it, and a viable one pushes exactly one trail entry, which
     ``remove`` pops in strict LIFO order. ``remove`` rewinds ``flips`` to
-    the entry's mark, only if the searches logged past it, and then
-    unmatches u and v if the entry flags an exposed pair.
+    the entry's mark and then unmatches u and v if the entry flags an
+    exposed pair.
     """
 
-    __slots__ = ("root", "members", "adj", "mate", "matched", "bound",
-                 "target", "trail", "flips", "forest")
+    __slots__ = ("root", "members", "adj", "mate", "matched", "target",
+                 "trail", "flips", "forest")
 
     def __init__(self, n_vertices: int, target: int, forest: _Forest):
         self.root = list(range(n_vertices))
@@ -258,11 +248,10 @@ class _ColorMatching:
         self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
         self.mate = [-1] * n_vertices
         self.matched = [0] * n_vertices
-        self.bound = [0] * n_vertices
         self.target = target
-        # Per add: root, absorbed root or -1, old matched/bound, flips mark,
-        # and whether u and v were matched as an exposed pair.
-        self.trail: list[tuple[int, int, int, int, int, bool]] = []
+        # Per add: root, absorbed root or -1, old matched, flips mark, and
+        # whether u and v were matched as an exposed pair.
+        self.trail: list[tuple[int, int, int, int, bool]] = []
         self.flips: list[tuple[int, int]] = []
         self.forest = forest
 
@@ -275,71 +264,61 @@ class _ColorMatching:
         exposed_pair = mate[u] == mate[v] == -1
         if size + exposed_pair >= target:
             return False
-        members, bound = self.members, self.bound
+        members, adj, flips = self.members, self.adj, self.flips
         if ra == rb:
             rb = -1
-            cap, order = bound[ra] + 1, len(members[ra])
+            order = len(members[ra])
         else:
-            cap = bound[ra] + bound[rb] + 1
             na, nb = len(members[ra]), len(members[rb])
             order = na + nb
             if na < nb:
                 ra, rb = rb, ra
-        # Tight: the stored matching was maximum in every merged part.
-        tight = cap == size + 1
-        if cap > order // 2:
-            cap = order // 2
-        if cap >= target and size + 1 == target:
-            # One augmenting path would reach the target (u and v are not
-            # both exposed, or the exposed-pair test would have pruned), so
-            # a short one through uv decides without a forest search.
-            # After a tight edge every augmenting path uses uv and at most
-            # size matched edges, so up to 3 the probe lists them all.
-            complete = tight and size <= 3
-            if _short_augmenting_path(self.adj, mate, u, v,
-                                      size if complete else min(size, 2)):
-                return False
-            if complete:
-                cap = size
-        adj, flips = self.adj, self.flips
         mark = len(flips)
-        adj[u].append(v)
-        adj[v].append(u)
         if exposed_pair:
             mate[u] = v
             mate[v] = u
             size += 1
-        if cap >= target:
-            # After a tight edge every augmenting path uses uv, and an
-            # exposed end of uv is an end of each: one search decides.
-            if tight and mate[u] == -1:
-                roots = [u]
-            elif tight and mate[v] == -1:
-                roots = [v]
-            else:
-                roots = self._exposed(ra, rb)
-            augment = self.forest.augment
-            # Each success adds one matched edge; the search that would
-            # meet the target only has to find its path, not flip it.
-            while augment(adj, mate, roots, flips, size + 1 < target):
-                size += 1
-                if size >= target:
-                    adj[u].pop()
-                    adj[v].pop()
-                    self._rewind(mark)
-                    if exposed_pair:
-                        mate[u] = mate[v] = -1
+        elif size < order // 2:
+            # The stored matching is maximum without uv, so every augmenting
+            # path uses uv and holds at most size matched edges.
+            path = _short_augmenting_path(adj, mate, u, v,
+                                          size if size < 3 else 3)
+            if path is not None:
+                if size + 1 >= target:
                     return False
-                roots = self._exposed(ra, rb)
-            cap = size
+                flips.extend([(w, mate[w]) for w in path])
+                for a, b in zip(path[::2], path[1::2]):
+                    mate[a] = b
+                    mate[b] = a
+                size += 1
+            elif size >= 4:
+                # An exposed end of uv is an end of every augmenting path.
+                if mate[u] == -1:
+                    roots = [u]
+                elif mate[v] == -1:
+                    roots = [v]
+                else:
+                    roots = self._exposed(ra, rb)
+                adj[u].append(v)
+                adj[v].append(u)
+                # The path that would meet the target is found, not flipped.
+                found = self.forest.augment(adj, mate, roots, flips,
+                                            size + 1 < target)
+                adj[u].pop()
+                adj[v].pop()
+                if found:
+                    if size + 1 >= target:
+                        return False
+                    size += 1
+        adj[u].append(v)
+        adj[v].append(u)
         if rb >= 0:
             root = self.root
             for w in members[rb]:
                 root[w] = ra
             members[ra].extend(members[rb])
-        self.trail.append((ra, rb, matched[ra], bound[ra], mark, exposed_pair))
+        self.trail.append((ra, rb, matched[ra], mark, exposed_pair))
         matched[ra] = size
-        bound[ra] = cap
         return True
 
     def _exposed(self, ra: int, rb: int) -> list[int]:
@@ -348,23 +327,16 @@ class _ColorMatching:
         group = members[ra] if rb < 0 else chain(members[ra], members[rb])
         return [w for w in group if mate[w] == -1]
 
-    def _rewind(self, mark: int) -> None:
-        """Restore the mates overwritten since ``flips`` had ``mark`` entries."""
+    def remove(self, u: int, v: int) -> None:
+        """Undo the latest committed ``add``, which must have been of edge uv."""
+        ra, rb, size, mark, pair = self.trail.pop()
         flips, mate = self.flips, self.mate
         while len(flips) > mark:
             w, m = flips.pop()
             mate[w] = m
-
-    def remove(self, u: int, v: int) -> None:
-        """Undo the latest committed ``add``, which must have been of edge uv."""
-        ra, rb, size, cap, mark, pair = self.trail.pop()
-        if len(self.flips) > mark:
-            self._rewind(mark)
         if pair:
-            mate = self.mate
             mate[u] = mate[v] = -1
         self.matched[ra] = size
-        self.bound[ra] = cap
         self.adj[u].pop()
         self.adj[v].pop()
         if rb >= 0:

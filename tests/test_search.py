@@ -202,16 +202,19 @@ def test_search_finds_affine_type_avoider(monkeypatch):
     assert result.status == FOUND
     assert result.nodes == 782_094
     assert find_mono_cm(complete_graph(9), result.coloring, 4) is None
-    # At n = 4 every prune trigger is tight with one stored edge, so the
-    # short-path probe decides all 231,414 of them: no blossom search runs.
+    # At n = 4 no component stores more than one edge, so the short-path
+    # probe decides all 231,414 edges that reach it: no blossom search runs.
     assert len(searches) == 0
 
 
 def test_short_path_probe_saves_blossom_searches(monkeypatch):
-    # On K_11 with k = 2, n = 8 the short-path probe decides every tight
-    # prune trigger, since it lists the augmenting paths with up to three
-    # matched edges, and the searches left are at non-tight triggers:
-    # without the probe the same 20,000 nodes run 17,654 blossom searches.
+    # Every stored matching is maximum, so every augmenting path through a
+    # new edge uses it, and the short-path probe lists them all while the
+    # stored size is at most 3. A blossom search runs only after a miss
+    # with 4 or more stored edges, so only from n = 10. Over the same
+    # 20,000 nodes, with a stored upper bound on the matching number
+    # instead: K_11 with k = 2, n = 8 ran 2,874 searches (17,654 without
+    # the probe), and K_14 with k = 2, n = 10 ran 5,776.
     searches = []
     real_augment = search_module._Forest.augment
 
@@ -220,9 +223,11 @@ def test_short_path_probe_saves_blossom_searches(monkeypatch):
         return real_augment(forest, *args)
 
     monkeypatch.setattr(search_module._Forest, "augment", counting_augment)
-    result = search_avoider(SearchConfig(11, 2, 8, node_budget=20_000))
-    assert result == SearchResult(BUDGET_EXHAUSTED, None, 20_000)
-    assert len(searches) == 2_874
+    for shape, count in (((11, 2, 8), 0), ((14, 2, 10), 2_694)):
+        searches.clear()
+        result = search_avoider(SearchConfig(*shape, node_budget=20_000))
+        assert result == SearchResult(BUDGET_EXHAUSTED, None, 20_000)
+        assert len(searches) == count, shape
 
 
 def test_budget_exhaustion_is_distinct():
@@ -467,7 +472,6 @@ def _kernel_state(classes):
         (
             list(cls.mate),
             list(cls.matched),
-            list(cls.bound),
             [list(a) for a in cls.adj],
             list(cls.root),
             [list(m) for m in cls.members],
@@ -478,40 +482,58 @@ def _kernel_state(classes):
     ]
 
 
-def _expected_trigger(cls, u, v):
-    """What adding uv to ``cls`` sets up for a prune trigger: its shape,
-    the exposed ends of uv, the exposed vertices of the merged component
-    and its stored matching size, all after the exposed-pair shortcut."""
-    ra, rb = cls.root[u], cls.root[v]
-    parts = {ra, rb}
-    tight = all(cls.bound[r] == cls.matched[r] for r in parts)
-    exposed = {w for r in parts for w in cls.members[r] if cls.mate[w] == -1}
+def _assert_stored_matchings_maximum(cls, edges):
+    """The mates of ``cls``, whose graph has the edges ``edges``, form a
+    matching of that graph, and in each component its stored size is the
+    count of its matched edges and the size of a fresh maximum matching."""
+    order = len(cls.mate)
+    g = Graph.from_edges(order, edges)
+    mate = cls.mate
+    for w, m in enumerate(mate):
+        assert m == -1 or (mate[m] == w and g.has_edge(w, m)), (w, m)
+    for r in set(cls.root):
+        part = [w for w in range(order) if cls.root[w] == r]
+        assert sorted(cls.members[r]) == part
+        stored = sum(mate[w] > w for w in part)
+        assert cls.matched[r] == stored == maximum_matching(g.induced(part)[0]).size
+
+
+def _expected_route(cls, u, v):
+    """How ``add`` must decide uv in ``cls``, from the stored state alone,
+    with the stored size of the merged component before uv, the exposed
+    ends of uv and the exposed vertices of the merged component."""
+    parts = {cls.root[u], cls.root[v]}
     size = sum(cls.matched[r] for r in parts)
-    if {u, v} <= exposed:  # matched at once
-        exposed -= {u, v}
-        size += 1
+    order = sum(len(cls.members[r]) for r in parts)
+    exposed = {w for r in parts for w in cls.members[r] if cls.mate[w] == -1}
     ends = [w for w in (u, v) if w in exposed]
-    if not tight:
-        shape = "non-tight"
-    elif ends:
-        shape = "tight, exposed end"
+    if size + (len(ends) == 2) >= cls.target:
+        route = "stored prune"
+    elif len(ends) == 2:
+        route = "exposed pair"
+    elif size == order // 2:
+        route = "saturated"
     else:
-        shape = "tight, both ends matched"
-    return shape, ends, exposed, size
+        route = "probe"
+    return route, size, ends, exposed
 
 
-@pytest.mark.parametrize("size", range(6, 11))
+@pytest.mark.parametrize("size", [6, 7, 8, 9, 10, 12])
 def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
     """Random push/pop walks through k color classes that share one
-    forest, as in a search: every verdict must match a matching computed
-    from scratch, every prune trigger must run the blossom searches its
-    shape calls for, a pruned edge must leave no trace, and a full unwind
-    must restore the initial state.
+    forest, as in a search. After every add, committed or pruned, each
+    component's stored matching must be maximum, against a matching
+    computed from scratch, so the verdict is a fresh one. Each edge must
+    take the route that the stored state gives it, a pruned edge must
+    leave no trace, and a full unwind must restore the initial state.
 
-    A trigger that only has to decide first probes the short augmenting
-    paths through the new edge: a hit must prune with no blossom search. A
-    miss at a tight trigger with at most 3 stored edges must commit with no
-    blossom search, and any other miss must fall back to the searches."""
+    Below the target an exposed pair is matched at once, and a component
+    whose stored matching leaves at most one vertex exposed needs no probe.
+    Any other edge probes the short augmenting paths through it: a hit
+    flips its path, or prunes at the target, and a miss with at most 3
+    stored edges commits with the size unchanged. Only a miss with 4 or
+    more runs one blossom search, rooted at the exposed end of uv if there
+    is one, which flips its path unless that would reach the target."""
     searches = []  # (roots, found, flip, entries logged) per search
     real_augment = search_module._Forest.augment
 
@@ -521,7 +543,7 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
         searches.append((list(roots), found, flip, len(log or ()) - logged))
         return found
 
-    probes = []  # the outcome of each short-path probe
+    probes = []  # the path each short-path probe returns, or None
     real_probe = search_module._short_augmenting_path
 
     def recording_probe(adj, mate, u, v, most):
@@ -530,10 +552,7 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
 
     monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
     monkeypatch.setattr(search_module, "_short_augmenting_path", recording_probe)
-    hits = collections.Counter()
-    probe_hits = collections.Counter()
-    probe_misses = collections.Counter()
-    committed = set()  # the stored sizes of tight probe misses that commit
+    routes = collections.Counter()
     rng = random.Random(size)
     edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
 
@@ -543,9 +562,7 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
         color_of[idx] = 0
 
     for k in (1, 2, 3, 4):
-        # A tight trigger runs a search only from n = 10, which needs 10
-        # vertices.
-        for n in (4, 6, 8, 10) if size >= 10 else (4, 6, 8):
+        for n in range(4, max(size, 8) + 1, 2):
             forest = search_module._Forest(size)
             classes = [None] + [
                 search_module._ColorMatching(size, n // 2, forest)
@@ -554,111 +571,129 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
             color_of = [0] * len(edges)
             initial = _kernel_state(classes)
             stack: list[int] = []
-            for _ in range(150):
+            for _ in range(300):
                 free = [i for i in range(len(edges)) if color_of[i] == 0]
                 if stack and (not free or rng.random() < 0.3):
                     pop(stack, classes, color_of)
                     continue
                 idx = rng.choice(free)
                 color = rng.randint(1, k)
+                cls = classes[color]
+                u, v = edges[idx]
                 # Each edge is offered twice to the same class state, as the
                 # search offers it again after a backtrack: a committed edge
                 # is taken back in between.
                 for attempt in range(2):
-                    shape, ends, exposed, matched = _expected_trigger(
-                        classes[color], *edges[idx]
-                    )
-                    u, v = edges[idx]
-                    pair = classes[color].mate[u] == classes[color].mate[v] == -1
+                    route, stored, ends, exposed = _expected_route(cls, u, v)
                     searches.clear()
                     probes.clear()
                     before = _kernel_state(classes)
-                    viable = classes[color].add(u, v)
+                    flips_before = len(cls.flips)
+                    viable = cls.add(u, v)
                     kernel_searches = list(searches)
                     kernel_probes = list(probes)
-                    cls = Graph.from_edges(
-                        size,
-                        [edges[i] for i in stack if color_of[i] == color]
-                        + [edges[idx]],
-                    )
-                    fresh = max_connected_matching(cls)[0]
+                    own = [edges[i] for i in stack if color_of[i] == color]
+                    plus = Graph.from_edges(size, own + [edges[idx]])
+                    fresh = max_connected_matching(plus)[0]
                     assert viable == (fresh < n // 2)
                     if size <= 7:
-                        assert viable == (brute_max_connected_matching(cls) < n // 2)
-                    if kernel_probes:
-                        # Only a trigger that has to decide probes, once.
-                        [hit] = kernel_probes
-                        assert not pair and matched + 1 == n // 2
-                        if hit:
-                            # The hit prunes alone, where the fresh matching
-                            # number reaches the target.
-                            assert not kernel_searches and not viable
-                            assert fresh >= n // 2
-                            probe_hits[shape] += 1
-                        elif shape != "non-tight" and matched <= 3:
+                        assert viable == (brute_max_connected_matching(plus) < n // 2)
+                    if not viable:
+                        # A pruned edge is not added, so nothing is undone.
+                        assert _kernel_state(classes) == before
+                    _assert_stored_matchings_maximum(cls, own + [edges[idx]] * viable)
+                    rises = viable and cls.matched[cls.root[u]] == stored + 1
+                    if route != "probe":
+                        assert not kernel_probes and not kernel_searches
+                        assert viable == (route != "stored prune")
+                        assert rises == (route == "exposed pair")
+                    else:
+                        [path] = kernel_probes
+                        if path is not None:
+                            # A hit rises; below the target its path is
+                            # flipped and each old mate logged.
+                            assert not kernel_searches
+                            assert viable == (stored + 1 < n // 2)
+                            if viable:
+                                assert rises
+                                assert len(cls.flips) - flips_before == len(path)
+                            route = "probe flip" if viable else "probe prune"
+                        elif stored <= 3:
                             # Every augmenting path uses uv and has at most 3
-                            # matched edges, and the probe lists them all: the
-                            # stored matching is maximum, and the edge commits
-                            # with bound = size and no blossom search.
-                            assert viable and not kernel_searches
-                            root = classes[color].root[u]
-                            assert classes[color].bound[root] == matched
-                            assert classes[color].matched[root] == matched
-                            probe_misses["commit"] += 1
-                            committed.add(matched)
+                            # matched edges, and the probe lists them all.
+                            assert viable and not rises and not kernel_searches
+                            assert len(cls.flips) == flips_before
+                            route = "probe miss"
                         else:
-                            # Any other miss falls back to a deciding search.
-                            assert kernel_searches and not kernel_searches[0][2]
-                            probe_misses["search"] += 1
-                    elif kernel_searches and not pair:
-                        # A trigger that skips the probe has flips to make.
-                        assert kernel_searches[0][2]
-                    if kernel_searches:
-                        hits[shape] += 1
-                        roots = kernel_searches[0][0]
-                        if shape == "non-tight":
-                            # Searches go on until one fails or the target is met.
-                            assert len(kernel_searches) <= n // 2 - matched + 1
-                            assert set(roots) == exposed
-                            assert all(found for _, found, _, _ in kernel_searches[:-1])
-                            last_found = kernel_searches[-1][1]
-                            assert not last_found or matched + len(kernel_searches) == n // 2
-                        else:
-                            # Every augmenting path uses uv: one search decides,
-                            # from the exposed end if there is one.
-                            assert len(kernel_searches) == 1
+                            # One deciding search, from the exposed end if
+                            # there is one; the path that would reach the
+                            # target is found but neither flipped nor logged.
+                            [(roots, found, flip, logged)] = kernel_searches
                             assert sorted(roots) == sorted(ends or exposed)
-                        # Every search but the last flips and logs its path.
-                        assert all(flip and logged > 0
-                                   for _, _, flip, logged in kernel_searches[:-1])
-                        if not viable:
-                            # The deciding search finds its path but neither
-                            # flips nor logs it.
-                            _, found, flip, logged = kernel_searches[-1]
-                            assert found and not flip and logged == 0
+                            assert flip == (stored + 1 < n // 2)
+                            assert (logged > 0) == (found and flip)
+                            assert viable == (not found or flip)
+                            assert rises == (found and flip)
+                            route = ("search " + ("flip" if flip else "prune")
+                                     if found else "search miss")
+                    routes[route] += 1
                     if viable:
                         color_of[idx] = color
                         stack.append(idx)
                         if attempt == 0:
                             pop(stack, classes, color_of)
-                    else:
-                        # A pruned edge is not added, so nothing is undone.
-                        assert _kernel_state(classes) == before
             while stack:
                 pop(stack, classes, color_of)
             assert _kernel_state(classes) == initial
             assert forest.parent == [-1] * size
             assert forest.base == list(range(size))
             assert not any(forest.even + forest.seen + forest.in_blossom)
-    # The walks reach every trigger shape, the probe decides both tight
-    # shapes, and its misses both commit and fall back to a search. A miss
-    # with 3 stored edges commits from n = 8, on a component of 8 vertices,
-    # and a tight trigger searches only from n = 10.
-    assert len(hits) == (3 if size >= 10 else 1), hits
-    tight = {"tight, exposed end", "tight, both ends matched"}
-    assert tight <= set(probe_hits), probe_hits
-    assert set(probe_misses) == {"commit", "search"}, probe_misses
-    assert max(committed) == (3 if size >= 8 else 2), committed
+    # The walks reach every route. A blossom search needs 4 stored edges,
+    # so n >= 10 and 10 vertices, and one that flips needs n >= 12.
+    assert set(routes) >= {"stored prune", "exposed pair", "saturated",
+                           "probe flip", "probe prune", "probe miss"}, routes
+    searched = {r for r in routes if r.startswith("search")}
+    assert searched == ({"search flip", "search prune", "search miss"}
+                        if size >= 12 else
+                        {"search prune", "search miss"} if size >= 10 else
+                        set()), routes
+
+
+def test_blossom_search_flips_a_long_augmenting_path(monkeypatch):
+    # The path 1-2-...-9, built edge by edge, stores the maximum matching
+    # 12, 34, 56, 78 with no probe or search. The edge 01 then closes the
+    # augmenting path 0-1-...-9 with 4 matched edges, beyond the probe: one
+    # blossom search from the exposed end 0 finds it. With n = 12 it flips
+    # the path; with n = 10 the path would reach the target, so the search
+    # only finds it and the edge is pruned.
+    searches = []  # (roots, found, flip) per search
+    real_augment = search_module._Forest.augment
+
+    def recording_augment(forest, adj, mate, roots, log=None, flip=True):
+        found = real_augment(forest, adj, mate, roots, log, flip)
+        searches.append((list(roots), found, flip))
+        return found
+
+    monkeypatch.setattr(search_module._Forest, "augment", recording_augment)
+    path = [(u, u + 1) for u in range(1, 9)]
+    for n, viable in ((12, True), (10, False)):
+        cls = search_module._ColorMatching(12, n // 2, search_module._Forest(12))
+        initial = _kernel_state([None, cls])
+        for u, v in path:
+            assert cls.add(u, v)
+        _assert_stored_matchings_maximum(cls, path)
+        before = _kernel_state([None, cls])
+        searches.clear()
+        assert cls.add(0, 1) == viable
+        assert searches == [([0], True, viable)]
+        if viable:
+            assert cls.matched[cls.root[0]] == 5
+            _assert_stored_matchings_maximum(cls, [(0, 1), *path])
+            cls.remove(0, 1)
+        assert _kernel_state([None, cls]) == before
+        for u, v in reversed(path):
+            cls.remove(u, v)
+        assert _kernel_state([None, cls]) == initial
 
 
 def _fewest_matched_edges(g, mate, u, v, most):
@@ -685,11 +720,32 @@ def _fewest_matched_edges(g, mate, u, v, most):
     return best
 
 
+def _assert_augmenting_path(plus, mate, u, v, path, most):
+    """``path`` runs through uv in ``plus`` as a simple path between two
+    exposed vertices that alternates between edges outside and inside the
+    matching ``mate``, so flipping it gives a matching of ``plus`` with one
+    more edge."""
+    assert len(set(path)) == len(path) >= 2, path
+    assert mate[path[0]] == mate[path[-1]] == -1, path
+    steps = list(zip(path, path[1:]))
+    assert (u, v) in steps or (v, u) in steps, path
+    assert all(plus.has_edge(a, b) for a, b in steps), path
+    assert all(mate[a] == b for a, b in steps[1::2]), path
+    flipped = {frozenset((w, m)) for w, m in enumerate(mate) if m > w}
+    flipped -= {frozenset(step) for step in steps[1::2]}
+    flipped |= {frozenset(step) for step in steps[::2]}
+    covered = [w for edge in flipped for w in edge]
+    assert len(covered) == len(set(covered)), path
+    assert len(flipped) == matching_number(plus), path
+
+
 def test_short_path_probe_is_sound():
     """On a graph with a stored maximum matching, the probe with ``most``
     on a non-edge uv, not between two exposed vertices, must hit exactly
-    when an augmenting path through uv has at most ``most`` matched edges,
-    and a hit must mean that uv raises the matching number. Where the
+    when an augmenting path through uv has at most ``most`` matched edges.
+    A hit must return one: a simple alternating path through uv between two
+    exposed vertices, whose flip is a matching of nu + 1 edges, so uv
+    raises the matching number. Where the
     components of u and v hold at most ``most`` matched edges, a miss must
     mean that it does not: every augmenting path then uses uv and at most
     ``most`` matched edges, and the probe lists them all. Every path shape
@@ -724,13 +780,17 @@ def test_short_path_probe_is_sound():
             # edges, and uv lies in its middle.
             middle = -1 not in (mate[u], mate[v])
             for most in (2, 3) if middle else (1, 2, 3):
-                hit = search_module._short_augmenting_path(
+                path = search_module._short_augmenting_path(
                     g.adjacency, mate, u, v, most)
+                hit = path is not None
                 assert hit == (fewest is not None and fewest <= most), (
                     g.edges, u, v, most)
                 assert rises or not hit, (g.edges, u, v, most)
                 if stored <= most:
                     assert hit == rises, (g.edges, u, v, most)
+                if hit:
+                    _assert_augmenting_path(plus, mate, u, v, path, most)
+                    assert len(path) <= 2 * most + 2, (path, most)
             if fewest is not None:
                 where = "uv in the middle" if middle else "uv at an end"
                 outcomes[f"length {2 * fewest + 1}, {where}"] += 1
@@ -788,7 +848,7 @@ def test_certified_search_unwinds_every_class(shape, nodes, monkeypatch):
     real_remove = search_module._ColorMatching.remove
 
     def counting_remove(cls, u, v):
-        _, absorbed, _, _, _, pair = cls.trail[-1]
+        _, absorbed, _, _, pair = cls.trail[-1]
         undone["merge"] += absorbed >= 0
         undone["pair"] += pair
         real_remove(cls, u, v)
