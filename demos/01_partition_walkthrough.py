@@ -41,7 +41,7 @@ show("triangle", complete_graph(3), 4)
 show("star K_{1,3}", star_graph(3), 4)
 
 # A double star: two hubs, many leaves, still no 3-matching.
-double_star = Graph.from_edges(
+double_star = Graph(
     9, [(0, 1)] + [(0, v) for v in range(2, 6)] + [(1, v) for v in range(6, 9)]
 )
 show("double star", double_star, 6)

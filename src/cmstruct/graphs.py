@@ -7,12 +7,15 @@ shared freely across threads.
 
 Subgraphs cost time proportional to their own size, not to the host's.
 The public ``Graph(n, edges)`` and ``EdgeColoring(k, assignment)`` check
-and normalize all they are given. Values derived from checked data skip
-that: ``parse_graph`` checks each line as it reads it, ``color_class``
-keeps edges of a checked graph, ``induced_coloring`` copies checked colors
-and the seeded ``constructions`` are valid by construction, so they come
-from ``_graph`` and ``_colored``, which set fields through ``_build`` and
-check nothing; ``Graph.induced`` relabels a checked adjacency. Only this
+and normalize all they are given; no module of the package calls them.
+Its own graphs and colorings are valid by construction and come from
+``_graph`` and ``_colored``, which set fields through ``_build`` and check
+only for a negative order: parsed ones (``parse_graph`` checks each line
+as it reads it), color classes, ``induced_coloring``, the generated graphs
+(``complete_graph``, ``star_graph``, ``path_graph``, ``cycle_graph``,
+``disjoint_union``), ``per_color``'s edgeless class, ``serialize``'s
+default coloring, the seeded ``constructions`` and the search's avoiders;
+``Graph.induced`` relabels a checked adjacency. Only this
 module lays out the fields, sorted adjacency rows (``_rows``) and the
 by-color index (``_index``), so ``color_class`` and the detector's
 pre-check ``_spans`` read only the edges of their color, O(E_c), and
@@ -61,7 +64,9 @@ def _rows(n: int, edges: Collection[tuple[int, int]]) -> tuple[tuple[int, ...], 
 
 def _graph(n: int, edges: Collection[tuple[int, int]]) -> Graph:
     """``Graph(n, edges)`` of normalized, distinct ``edges`` in range, as
-    ``_rows`` takes them; nothing is checked."""
+    ``_rows`` takes them; only a negative ``n`` is checked."""
+    if n < 0:
+        raise ValueError("vertex_count must be nonnegative")
     return _build(Graph, vertex_count=n, edges=frozenset(edges), _adj=_rows(n, edges))
 
 
@@ -76,10 +81,10 @@ def _colored(k: int, assignment: dict[tuple[int, int], int]) -> EdgeColoring:
 class Graph:
     """Simple undirected graph on vertices ``0..vertex_count-1``.
 
-    ``Graph(n, edges)`` (and ``from_edges``) checks every edge: it rejects
-    self-loops and ids outside ``0..n-1``, stores each edge once as
-    ``(low, high)`` and builds the sorted adjacency. Graphs derived from
-    checked data are built through ``_build`` and not checked again.
+    ``Graph(n, edges)`` checks every edge: it rejects self-loops and ids
+    outside ``0..n-1``, stores each edge once as ``(low, high)`` and builds
+    the sorted adjacency. Graphs the package builds come from ``_graph``
+    or ``induced`` and are not checked.
     """
 
     vertex_count: int
@@ -112,10 +117,6 @@ class Graph:
             seen[e] = None
         object.__setattr__(self, "edges", frozenset(seen))
         object.__setattr__(self, "_adj", _rows(n, seen))
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        return cls(vertex_count, edges)
 
     @property
     def edge_count(self) -> int:
@@ -170,10 +171,9 @@ class EdgeColoring:
     """Total assignment of colors ``1..color_count`` to a graph's edges.
 
     ``EdgeColoring(k, assignment)`` checks every color against ``1..k`` and
-    stores each edge as ``(low, high)``; ``parse_graph``,
-    ``induced_coloring`` and the seeded constructions build through
-    ``_colored`` and check nothing. Either way the edges are indexed by
-    color, so a color's edge list costs nothing to look up.
+    stores each edge as ``(low, high)``; colorings the package builds come
+    from ``_colored`` and are not checked. Either way the edges are indexed
+    by color, so a color's edge list costs nothing to look up.
     """
 
     color_count: int
@@ -348,7 +348,7 @@ def per_color(
     used = {c: fn(color_class(g, coloring, c)) for c in coloring.colors_used()}
     if len(used) == coloring.color_count:
         return used
-    edgeless = fn(Graph(g.vertex_count, ()))
+    edgeless = fn(_graph(g.vertex_count, ()))
     out = dict.fromkeys(range(1, coloring.color_count + 1), edgeless)
     out.update(used)
     return out
@@ -375,34 +375,32 @@ def distinct_with_counts(values: Mapping[int, T]) -> list[tuple[T, int]]:
 # -- construction helpers ----------------------------------------------------
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    return _graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def star_graph(leaves: int) -> Graph:
     """Star with center 0 and ``leaves`` pendant vertices."""
-    return Graph.from_edges(leaves + 1, ((0, v) for v in range(1, leaves + 1)))
+    return _graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((v, v + 1) for v in range(n - 1)))
+    return _graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return _graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
 
 
 def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     """Disjoint union; vertex ids of later graphs are shifted upward."""
     offset = 0
-    total = 0
     edges: list[tuple[int, int]] = []
     for g in graphs:
         edges.extend((u + offset, v + offset) for u, v in g.edges)
         offset += g.vertex_count
-        total = offset
-    return Graph.from_edges(total, edges)
+    return _graph(offset, edges)
 
 
 # -- text format -------------------------------------------------------------
@@ -498,7 +496,7 @@ def _edge_bounds_error(
 def serialize(g: Graph, coloring: EdgeColoring | None = None) -> str:
     """Canonical text form: header, then edges in ascending order."""
     if coloring is None:
-        coloring = EdgeColoring(1, {e: 1 for e in g.edges})
+        coloring = _colored(1, dict.fromkeys(g.edges, 1))
     coloring.validate_against(g)
     lines = [f"p cm {g.vertex_count} {coloring.color_count}"]
     for u, v in g.sorted_edges():

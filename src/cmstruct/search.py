@@ -79,7 +79,7 @@ from functools import partial
 from itertools import chain, islice
 from threading import Thread
 
-from .graphs import EdgeColoring, complete_graph, induced_coloring
+from .graphs import EdgeColoring, _colored, complete_graph, induced_coloring
 # max_connected_matching is unused here but kept as a public and traced name.
 from .matching import (  # noqa: F401
     _Forest,
@@ -468,13 +468,16 @@ class _Searcher:
             return SearchResult(BUDGET_EXHAUSTED, None, self.nodes)
         if hit is None:
             return SearchResult(CERTIFIED_NONE, None, self.nodes)
-        assignment = {
-            edge: color for edge, color in zip(self.edge_list, hit)
-        }
-        coloring = EdgeColoring(self.cfg.color_count, assignment)
-        g = complete_graph(self.cfg.vertex_count)
-        assert find_mono_cm(g, coloring, self.cfg.n) is None
-        return SearchResult(FOUND, coloring, self.nodes)
+        return _found(self.cfg, dict(zip(self.edge_list, hit)), self.nodes)
+
+
+def _found(cfg: SearchConfig, assignment: dict[tuple[int, int], int],
+           nodes: int) -> SearchResult:
+    """FOUND with the avoider that colors the edges of K_N by
+    ``assignment``, once the detector confirms that it avoids."""
+    coloring = _colored(cfg.color_count, assignment)
+    assert find_mono_cm(complete_graph(cfg.vertex_count), coloring, cfg.n) is None
+    return SearchResult(FOUND, coloring, nodes)
 
 
 def _exit_with_parent() -> None:
@@ -585,9 +588,7 @@ def search_avoider(cfg: SearchConfig) -> SearchResult:
         # A connected matching of size n/2 covers n vertices, so any
         # coloring of a smaller complete graph avoids trivially.
         g = complete_graph(cfg.vertex_count)
-        coloring = EdgeColoring(cfg.color_count, {e: 1 for e in g.edges})
-        assert find_mono_cm(g, coloring, cfg.n) is None
-        return SearchResult(FOUND, coloring, 0)
+        return _found(cfg, dict.fromkeys(g.edges, 1), 0)
     if cfg.threads == 1:
         return _Searcher(cfg).run()
 

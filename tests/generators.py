@@ -14,7 +14,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         for v in range(u + 1, n)
         if rng.random() < p
     ]
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float = 0.3) -> Graph:
@@ -26,7 +26,7 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.3) -> Graph:
         for v in range(u + 1, n):
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def low_matching_connected(rng: random.Random, n: int, spread: int = 10) -> Graph:
@@ -76,7 +76,7 @@ def low_matching_connected(rng: random.Random, n: int, spread: int = 10) -> Grap
         for hub in anchors:
             edges.append((hub, rng.choice(blob)))
         offset += size
-    return Graph.from_edges(offset, edges)
+    return Graph(offset, edges)
 
 
 def avoiding_graph(rng: random.Random, n: int) -> Graph:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the library's algorithms:
 matchings by bitmask dynamic programming, deficiency by enumerating every
-vertex subset, detection by enumerating colors and components. Intended for
-graphs of at most ~12 vertices.
+vertex subset, detection by enumerating colors and components, and the
+orbits of colorings of K_N by enumerating every vertex permutation.
+Intended for graphs of at most ~12 vertices.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def all_graphs(n: int):
     """Every graph on n labeled vertices."""
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
-        yield Graph.from_edges(
+        yield Graph(
             n, (pairs[i] for i in range(len(pairs)) if bits >> i & 1)
         )
 
@@ -162,3 +163,59 @@ def all_partitions_sqi(g: Graph, n: int):
         if any(g.degree(a) >= n // 2 for a in ind):
             continue
         yield s, q, ind
+
+
+def first_use(colors) -> tuple[int, ...]:
+    """``colors`` with the colors renamed 1, 2, ... in order of first use."""
+    names = {c: i for i, c in enumerate(dict.fromkeys(colors), 1)}
+    return tuple(map(names.__getitem__, colors))
+
+
+@lru_cache(maxsize=None)
+def _pair_maps(vertex_count: int) -> tuple[tuple[int, ...], ...]:
+    """Per vertex permutation p, the index of the pair {p(a), p(b)} for
+    each pair {a, b} of K_N, pairs in lexicographic order."""
+    pairs = list(itertools.combinations(range(vertex_count), 2))
+    index = {e: i for i, e in enumerate(pairs)}
+    return tuple(
+        tuple(index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs)
+        for p in itertools.permutations(range(vertex_count))
+    )
+
+
+def canonical_form(vertex_count: int, colors) -> tuple[int, ...]:
+    """The least member of the orbit of a coloring of K_N under vertex and
+    color permutations; ``colors`` lists the colors of the pairs in
+    lexicographic order. First use is the least renaming of one vertex
+    order, so the form is the minimum over all vertex permutations of the
+    permuted colors renamed by first use."""
+    return min(
+        first_use(tuple(map(colors.__getitem__, m))) for m in _pair_maps(vertex_count)
+    )
+
+
+def first_use_colorings(edge_count: int, color_count: int):
+    """Every sequence of ``edge_count`` colors from ``1..color_count`` in
+    which each color first appears after all smaller ones."""
+    if edge_count == 0:
+        yield ()
+        return
+    for head in first_use_colorings(edge_count - 1, color_count):
+        for color in range(1, min(max(head, default=0) + 1, color_count) + 1):
+            yield head + (color,)
+
+
+def brute_avoider_forms(vertex_count: int, color_count: int, n: int) -> set:
+    """The canonical forms of the colorings of K_N with colors
+    ``1..color_count`` and no monochromatic connected matching of size
+    ``n/2``. First-use colorings are enough: color renaming reaches the
+    rest of each orbit."""
+    pairs = list(itertools.combinations(range(vertex_count), 2))
+    g = Graph(vertex_count, pairs)
+    return {
+        canonical_form(vertex_count, colors)
+        for colors in first_use_colorings(len(pairs), color_count)
+        if not brute_has_mono_cm(
+            g, EdgeColoring(color_count, dict(zip(pairs, colors))), n
+        )
+    }

@@ -210,7 +210,7 @@ def test_audit_rejects_colorings_with_mono_cm():
 
 def test_audit_reports_both_qsat_loss_variants():
     # two perfect matchings on four vertices: all vertices Q-saturated
-    g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
+    g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     coloring = EdgeColoring(2, {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2})
     params = AuditParams(2, Fraction(1, 2), Fraction(0), 4)
     report = audit_coloring(params, g, coloring)

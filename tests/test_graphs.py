@@ -5,14 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmstruct import (
+    FOUND,
     EdgeColoring,
     Graph,
+    SearchConfig,
     color_class,
     complete_graph,
     components,
     cycle_graph,
     disjoint_union,
     parse_graph,
+    path_graph,
+    ramsey_cm,
+    search_avoider,
     serialize,
     star_graph,
     to_dot,
@@ -191,7 +196,7 @@ def test_serialize_rejects_a_coloring_of_other_edges():
     # which is not an edge of it.
     coloring = EdgeColoring(2, {(0, 1): 1, (0, 2): 2, (0, 3): 1})
     with pytest.raises(ValueError) as exc:
-        serialize(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), coloring)
+        serialize(Graph(4, [(0, 1), (0, 2), (1, 2)]), coloring)
     assert str(exc.value) == (
         "coloring does not match edge set (missing [(1, 2)], extra [(0, 3)])"
     )
@@ -218,7 +223,7 @@ def graphs_with_colorings(draw):
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     k = draw(st.integers(min_value=1, max_value=3))
     assignment = {e: draw(st.integers(min_value=1, max_value=k)) for e in chosen}
-    return Graph.from_edges(n, chosen), EdgeColoring(k, assignment)
+    return Graph(n, chosen), EdgeColoring(k, assignment)
 
 
 @settings(max_examples=60)
@@ -227,7 +232,7 @@ def test_component_sizes_invariant_under_relabeling(gc, rnd):
     g, _ = gc
     perm = list(range(g.vertex_count))
     rnd.shuffle(perm)
-    relabeled = Graph.from_edges(
+    relabeled = Graph(
         g.vertex_count, ((perm[u], perm[v]) for u, v in g.edges)
     )
     assert sorted(components(g).sizes) == sorted(components(relabeled).sizes)
@@ -303,9 +308,9 @@ def test_indexed_subgraphs_match_edge_scan_references():
         edges, adj = _ref_graph(n, given)
         assert g.edges == edges
         assert g.adjacency == adj
-        assert Graph.from_edges(n, iter(given)) == g
-        assert Graph.from_edges(n, iter(given)).adjacency == adj
-        assert Graph.from_edges(n, [list(e) for e in given]).edges == edges
+        assert Graph(n, iter(given)) == g
+        assert Graph(n, iter(given)).adjacency == adj
+        assert Graph(n, [list(e) for e in given]).edges == edges
 
         # The coloring misses some edges of g, carries some pairs outside
         # g, and names some edges in both orientations.
@@ -492,7 +497,9 @@ def test_derived_colorings_match_validated_ones_on_seeded_inputs():
         _assert_coloring_matches_validated(sub, sub_coloring, k, inherited)
 
 
-def test_parsed_and_induced_colorings_are_not_checked_again(monkeypatch):
+def test_parsed_and_induced_colorings_are_not_checked_again(
+    monkeypatch, in_process_pool
+):
     calls = []
     for cls in (Graph, EdgeColoring):
         def counting(self, original=cls.__post_init__):
@@ -503,8 +510,50 @@ def test_parsed_and_induced_colorings_are_not_checked_again(monkeypatch):
     g, coloring = parse_graph("p cm 5 3\ne 0 1 2\ne 3 2 1\ne 4 1 2\n")
     sub, sub_coloring = induced_coloring(g, coloring, [4, 1, 0])
     assert calls == []
+    # Generated graphs, per_color's edgeless class (color 3 is unused) and
+    # serialize's default coloring.
+    disjoint_union([complete_graph(5), star_graph(4), path_graph(5), cycle_graph(5)])
+    assert per_color(g, coloring, lambda cls: cls.edge_count)[3] == 0
+    assert serialize(g).startswith("p cm 5 1\n")
+    assert calls == []
+    # The search's avoiders: below n, sequential, from a worker, in a scan.
+    assert search_avoider(SearchConfig(5, 2, 6)).status == FOUND
+    assert search_avoider(SearchConfig(7, 2, 6)).status == FOUND
+    assert search_avoider(SearchConfig(7, 2, 6, threads=2)).status == FOUND
+    assert in_process_pool != []
+    assert ramsey_cm(2, 4, 6).value == 5
+    assert calls == []
     assert sub_coloring == EdgeColoring(3, {(0, 1): 2, (1, 2): 2})
     assert calls == [EdgeColoring]  # the counting check is live
+
+
+def test_generated_graphs_match_validated_ones():
+    for n in range(10):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        _assert_matches_validated(complete_graph(n), n, pairs)
+        _assert_matches_validated(star_graph(n - 1), n, [(0, v) for v in range(1, n)])
+        _assert_matches_validated(path_graph(n), n, [(v, v + 1) for v in range(n - 1)])
+        if n >= 3:
+            # The wrap edge given high end first, as (n - 1, 0).
+            cycle = [(v, (v + 1) % n) for v in range(n)]
+            _assert_matches_validated(cycle_graph(n), n, cycle)
+        for a in range(n + 1):
+            # K_a, then a path on the other n - a vertices.
+            edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+            edges += [(v, v + 1) for v in range(a, n - 1)]
+            union = disjoint_union([complete_graph(a), path_graph(n - a)])
+            _assert_matches_validated(union, n, edges)
+    _assert_matches_validated(disjoint_union([]), 0, [])
+
+
+def test_generators_reject_a_negative_order():
+    for build, order in ((complete_graph, -1), (path_graph, -1), (star_graph, -2)):
+        with pytest.raises(ValueError) as exc:
+            build(order)
+        assert str(exc.value) == "vertex_count must be nonnegative"
+    with pytest.raises(ValueError) as exc:
+        cycle_graph(2)
+    assert str(exc.value) == "cycle needs at least 3 vertices"
 
 
 def test_header_color_count_is_capped_with_its_line_number():
@@ -532,7 +581,7 @@ def test_graph_error_messages_name_the_edge_as_given():
             Graph(vertex_count, edges)
         assert str(exc.value) == message
         with pytest.raises(ValueError) as exc:
-            Graph.from_edges(vertex_count, list(edges))
+            Graph(vertex_count, list(edges))
         assert str(exc.value) == message
 
 

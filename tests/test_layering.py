@@ -1,6 +1,7 @@
 """Each module of the package imports only modules of a lower layer, only
-``graphs`` knows how a ``Graph`` and an ``EdgeColoring`` are stored, and
-importing the package loads no ``multiprocessing``."""
+``graphs`` knows how a ``Graph`` and an ``EdgeColoring`` are stored, no
+module calls their checking constructors, and importing the package loads
+no ``multiprocessing``."""
 
 import ast
 import os
@@ -68,6 +69,33 @@ def test_only_graphs_touches_the_stored_layout():
                     assert alias.name not in LAYOUT_BUILDERS, (
                         f"{path.stem} imports {alias.name}"
                     )
+
+
+# The checking constructors, which are for data from outside the package.
+CHECKING_CONSTRUCTORS = {"Graph", "Graph.from_edges", "EdgeColoring"}
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def test_no_module_calls_the_checking_constructors():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func)
+                if name is not None and name.startswith("graphs."):
+                    name = name[len("graphs."):]
+                if name in CHECKING_CONSTRUCTORS:
+                    calls.append(f"{path.stem} line {node.lineno}: {name}(...)")
+    assert calls == []
 
 
 def test_importing_the_package_loads_no_multiprocessing():

@@ -156,7 +156,7 @@ def test_audit_qsat_loss_is_the_vertex_class_rule():
 
 
 def test_classify_two_perfect_matchings():
-    g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
+    g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     coloring = EdgeColoring(2, {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2})
     classes = classify_vertices(g, coloring, 4)
     assert set(classes.values()) == {VertexClass.Q_SATURATED}
@@ -299,7 +299,7 @@ def test_unused_colors_share_one_edgeless_partition(monkeypatch):
         return partitions(g, n)
 
     monkeypatch.setattr(loss_module, "component_partitions", counting)
-    g = Graph.from_edges(5, [(0, 1)])
+    g = Graph(5, [(0, 1)])
     coloring = EdgeColoring(10**5, {(0, 1): 4})
     classes = classify_vertices(g, coloring, 4)
     assert len(calls) <= len(coloring.colors_used()) + 1
@@ -334,7 +334,7 @@ def test_classify_reads_shared_partitions_once(monkeypatch):
         return real(g, coloring, analysis)
 
     monkeypatch.setattr(loss_module, "per_color", counted)
-    g = Graph.from_edges(5, [(0, 1)])
+    g = Graph(5, [(0, 1)])
     coloring = EdgeColoring(10**5, {(0, 1): 4})
     classes = classify_vertices(g, coloring, 4)
     # One pass over color 4's partitions and one over the shared ones.
@@ -350,7 +350,7 @@ def test_classify_reads_shared_partitions_once(monkeypatch):
 
 def test_shared_edgeless_partitions_give_the_unshared_ledger(monkeypatch):
     # k = 4 with colors 2 and 4 unused.
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (0, 2)])
     coloring = EdgeColoring(4, {(0, 1): 1, (1, 2): 1, (0, 2): 3, (3, 4): 3})
     assert coloring.colors_used() == (1, 3)
     holds, shared = check_F_inequality(g, coloring, 4)

@@ -45,7 +45,7 @@ def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, outer + inner + spokes)
+    return Graph(10, outer + inner + spokes)
 
 
 def test_maximum_matching_examples():
@@ -288,7 +288,7 @@ def count_class_builds(monkeypatch):
 def test_find_mono_cm_builds_only_the_classes_of_used_colors(monkeypatch):
     built = count_class_builds(monkeypatch)
     # One edge cannot join n = 4 vertices: no class is built.
-    g = Graph.from_edges(5, [(0, 1)])
+    g = Graph(5, [(0, 1)])
     coloring = EdgeColoring(10**5, {(1, 0): 77_777})
     assert find_mono_cm(g, coloring, 4) is None
     assert built == []

@@ -40,14 +40,16 @@ from cmstruct.errors import OddNError
 
 from .generators import random_graph
 from .oracles import (
+    brute_avoider_forms,
     brute_has_mono_cm,
     brute_matching_number,
     brute_max_connected_matching,
+    canonical_form,
 )
 
 
 def test_max_connected_matching_examples():
-    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    two_edges = Graph(4, [(0, 1), (2, 3)])
     assert max_connected_matching(two_edges)[0] == 1
     assert max_connected_matching(path_graph(4))[0] == 2
     two_triangles = disjoint_union([complete_graph(3), complete_graph(3)])
@@ -167,7 +169,7 @@ def test_monotone_growth_under_edge_addition():
         last = 0
         for e in pairs:
             edges.add(e)
-            now, _ = max_connected_matching(Graph.from_edges(size, edges))
+            now, _ = max_connected_matching(Graph(size, edges))
             assert now >= last
             last = now
 
@@ -286,6 +288,25 @@ def test_pruning_safety_matches_unpruned_and_brute(in_process_pool, monkeypatch)
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
     parallel = search_avoider(SearchConfig(6, 3, 4, threads=2))
     assert parallel == SearchResult(CERTIFIED_NONE, None, 20_172)
+
+
+@pytest.mark.parametrize(
+    "shape, classes",
+    [((4, 2, 4), 1), ((5, 2, 4), 0), ((5, 2, 6), 18), ((6, 2, 6), 7),
+     ((4, 3, 4), 6), ((5, 3, 4), 3)],
+)
+def test_search_lists_an_avoider_of_every_orbit(shape, classes):
+    # The symmetry rules may drop colorings, never a whole orbit under
+    # vertex and color permutations: the avoiders the search lists, run to
+    # the end, reach every orbit of the brute avoiders.
+    size = shape[0]
+    searcher = search_module._Searcher(SearchConfig(*shape))
+    listed = searcher._dfs(0, 0, len(searcher.edge_list))
+    forms = {canonical_form(size, colors) for colors in listed}
+    assert not searcher.exhausted
+    brute = brute_avoider_forms(*shape)
+    assert len(brute) == classes
+    assert forms == brute
 
 
 def test_parallel_search_agrees_with_sequential():
@@ -487,7 +508,7 @@ def _assert_stored_matchings_maximum(cls, edges):
     matching of that graph, and in each component its stored size is the
     count of its matched edges and the size of a fresh maximum matching."""
     order = len(cls.mate)
-    g = Graph.from_edges(order, edges)
+    g = Graph(order, edges)
     mate = cls.mate
     for w, m in enumerate(mate):
         assert m == -1 or (mate[m] == w and g.has_edge(w, m)), (w, m)
@@ -593,7 +614,7 @@ def test_incremental_prune_matches_fresh_matching(size, monkeypatch):
                     kernel_searches = list(searches)
                     kernel_probes = list(probes)
                     own = [edges[i] for i in stack if color_of[i] == color]
-                    plus = Graph.from_edges(size, own + [edges[idx]])
+                    plus = Graph(size, own + [edges[idx]])
                     fresh = max_connected_matching(plus)[0]
                     assert viable == (fresh < n // 2)
                     if size <= 7:
@@ -757,7 +778,7 @@ def test_short_path_probe_is_sound():
         graphs.append(random_graph(rng, size, rng.uniform(0.15, 0.5)))
     # A path on 9 vertices and one isolated vertex: an edge between that
     # vertex and the path can close an augmenting path with 4 matched edges.
-    graphs.append(Graph.from_edges(10, [(i, i + 1) for i in range(8)]))
+    graphs.append(Graph(10, [(i, i + 1) for i in range(8)]))
     outcomes = collections.Counter()
     for g in graphs:
         size = g.vertex_count
@@ -769,7 +790,7 @@ def test_short_path_probe_is_sound():
         for u, v in itertools.combinations(range(size), 2):
             if g.has_edge(u, v) or mate[u] == mate[v] == -1:
                 continue
-            plus = Graph.from_edges(size, [*g.edges, (u, v)])
+            plus = Graph(size, [*g.edges, (u, v)])
             rises = matching_number(plus) == nu + 1
             if size <= 7:
                 assert rises == (brute_matching_number(plus) == nu + 1)
