@@ -214,9 +214,10 @@ class EdgeColoring:
 
     def validate_against(self, g: Graph) -> None:
         """Raise unless this coloring covers exactly the edges of ``g``."""
-        if set(self.assignment) != set(g.edges):
-            missing = set(g.edges) - set(self.assignment)
-            extra = set(self.assignment) - set(g.edges)
+        colored = self.assignment.keys()
+        if colored != g.edges:
+            missing = g.edges - colored
+            extra = colored - g.edges
             raise ValueError(
                 f"coloring does not match edge set (missing {sorted(missing)[:3]}, "
                 f"extra {sorted(extra)[:3]})"
@@ -498,9 +499,11 @@ def serialize(g: Graph, coloring: EdgeColoring | None = None) -> str:
     if coloring is None:
         coloring = _colored(1, dict.fromkeys(g.edges, 1))
     coloring.validate_against(g)
+    # The assignment's keys, normalized, are exactly the edges of g.
+    color_of = coloring.assignment
     lines = [f"p cm {g.vertex_count} {coloring.color_count}"]
-    for u, v in g.sorted_edges():
-        lines.append(f"e {u} {v} {coloring.color_of(u, v)}")
+    for e in g.sorted_edges():
+        lines.append(f"e {e[0]} {e[1]} {color_of[e]}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,15 @@ Q vertices the gap between ``(n-1)/2`` and half their degree, I vertices
 nothing. The per-vertex sum never exceeds the graph total; that inequality
 is what the checkers verify, in exact arithmetic (denominators stay in
 {1, 2, 4}).
+
+Each entry decides its input class once. ``f_graph`` runs the single-color
+guard, and ``f_vertex`` reaches it through ``f_graph`` after checking the
+partitions it is given. ``check_f_inequality`` lets the partition pass
+decide: the deficiency witness of every component on ``n`` or more
+vertices fixes its matching number, and a smaller component cannot hold
+``n/2`` matching edges. Only when that pass rejects a component does it
+call ``f_graph``, whose error names the largest connected matching. The
+multicolor entries run the detector once, in ``_color_analysis``.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InvalidPartitionError
+from .errors import HasLargeMatchingError, InvalidPartitionError
 from .graphs import EdgeColoring, Graph, components, distinct_with_counts, per_color
 from .matching import require_no_connected_matching, require_no_monochromatic_cm
 from .partition import SQIPartition, component_partitions, verify_sqi
@@ -84,7 +93,13 @@ def f_graph(g: Graph, n: int) -> Fraction:
 def f_vertex(
     g: Graph, n: int, partitions: Sequence[SQIPartition]
 ) -> dict[int, Fraction]:
-    """Per-vertex loss, given valid partitions, one per component."""
+    """Per-vertex loss, given valid partitions, one per component.
+
+    Partitions that fail raise InvalidPartitionError first; a graph that
+    passes then goes through ``f_graph``'s guard, as ``verify_sqi`` does not
+    decide the input class (a triangle with a pendant edge at each corner
+    passes it at n = 4 with S empty, and has a matching of size 3).
+    """
     labeling = components(g)
     component_sets = labeling.vertex_sets()
     covered: set[int] = set()
@@ -106,7 +121,7 @@ def f_vertex(
     if covered != set(range(g.vertex_count)):
         raise InvalidPartitionError("partitions do not cover the graph")
 
-    values = _ledger(g, n, {1: tuple(partitions)}, {1: _loss(g, n)}).per_vertex
+    values = _ledger(g, n, {1: tuple(partitions)}, {1: f_graph(g, n)}).per_vertex
     assert all(x >= 0 for x in values.values())
     return values
 
@@ -114,13 +129,24 @@ def f_vertex(
 def check_f_inequality(g: Graph, n: int) -> tuple[bool, LossLedger]:
     """Verify that per-vertex losses sum to at most the graph loss.
 
+    The partition pass decides the input class: it raises on a component
+    with a matching of size ``n/2``, and only then does ``f_graph`` run, to
+    raise HasConnectedMatchingError naming the largest connected matching.
+    Otherwise it runs one maximum matching per component on ``n`` or more
+    vertices and none for smaller ones.
+
     A False result indicates an implementation bug, not a property of the
     input; callers should treat it as fatal.
     """
-    total = f_graph(g, n)
-    parts = tuple(component_partitions(g, n))
+    try:
+        parts = tuple(component_partitions(g, n))
+    except HasLargeMatchingError:
+        f_graph(g, n)  # raises, naming the largest connected matching
+        raise
     # At k = 1 the strong, Q-saturated and small vertices are S, Q and I.
-    ledger = _ledger(g, n, {1: parts}, {1: total}, dict(zip(VertexClass, "SQI")))
+    ledger = _ledger(
+        g, n, {1: parts}, {1: _loss(g, n)}, dict(zip(VertexClass, "SQI"))
+    )
     return ledger.vertex_sum <= ledger.total, ledger
 
 

@@ -185,21 +185,8 @@ def test_loss_check_adds_one_term_per_distinct_loss(tmp_path, capsys, monkeypatc
     assert 1 <= len(ops) <= 4
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p cm 5 100000\ne 0 1 3\n",
-        serialize(*constructions.affine_plane_coloring(3)),
-    ],
-    ids=["unused-colors", "affine-3"],
-)
-def test_loss_check_builds_each_used_class_twice_and_runs_no_matching_guard(
-    tmp_path, capsys, monkeypatch, text
-):
-    # The detector builds at most each used class once (only those with a
-    # component on n vertices) and the per-color pass once more; the
-    # additivity line reads the losses of that pass, so no class is checked
-    # for a connected matching again.
+def count_class_builds_and_guards(monkeypatch):
+    """Count the calls of ``color_class`` and ``max_connected_matching``."""
     counts = collections.Counter()
 
     def counting(name, real):
@@ -219,6 +206,25 @@ def test_loss_check_builds_each_used_class_twice_and_runs_no_matching_guard(
         for name, real in originals.items():
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cm 5 100000\ne 0 1 3\n",
+        serialize(*constructions.affine_plane_coloring(3)),
+    ],
+    ids=["unused-colors", "affine-3"],
+)
+def test_loss_check_builds_each_used_class_twice_and_runs_no_matching_guard(
+    tmp_path, capsys, monkeypatch, text
+):
+    # The detector builds at most each used class once (only those with a
+    # component on n vertices) and the per-color pass once more; the
+    # additivity line reads the losses of that pass, so no class is checked
+    # for a connected matching again.
+    counts = count_class_builds_and_guards(monkeypatch)
     path = tmp_path / "colored.g"
     path.write_text(text)
     code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
@@ -227,6 +233,41 @@ def test_loss_check_builds_each_used_class_twice_and_runs_no_matching_guard(
     used = len(parse_graph(text)[1].colors_used())
     assert counts["max_connected_matching"] == 0
     assert 0 < counts["color_class"] <= 2 * used
+
+
+@pytest.mark.parametrize(
+    "g, orders",
+    [
+        (disjoint_union([star_graph(5), star_graph(4), path_graph(2)]), [6, 5]),
+        (complete_graph(3), []),
+    ],
+    ids=["stars", "triangle"],
+)
+def test_single_color_loss_check_builds_no_class_and_runs_no_matching_guard(
+    tmp_path, capsys, monkeypatch, g, orders
+):
+    # The k = 1 twin: the partition pass decides the input class, with one
+    # maximum matching per component on n or more vertices.
+    counts = count_class_builds_and_guards(monkeypatch)
+    matchings = count_max_matchings(monkeypatch)
+    path = write_graph(tmp_path / "single.g", g)
+    code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", path])
+    assert code == 0
+    assert "single-color loss bound: HOLDS" in out
+    assert counts == {}
+    assert matchings == orders
+
+
+def test_single_color_loss_check_names_the_largest_connected_matching(
+    tmp_path, capsys
+):
+    # A path on 0-3 (nu = 2) and K_6 on 4-9 (nu = 3): the partition pass
+    # rejects the path first, and the error names the K_6's matching.
+    g = disjoint_union([path_graph(4), complete_graph(6)])
+    path = write_graph(tmp_path / "two.g", g)
+    code, _, err = run(capsys, ["loss-check", "--n", "4", "--input", path])
+    assert code == 2
+    assert err == "cmstruct: graph has a connected matching of size 3 >= 2\n"
 
 
 def test_loss_check_with_unused_colors(tmp_path, capsys):

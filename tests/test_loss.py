@@ -32,6 +32,7 @@ from cmstruct.errors import (
 )
 
 from .generators import avoiding_coloring, avoiding_graph
+from .test_matching import count_max_matchings
 
 
 def star_triangle():
@@ -109,6 +110,50 @@ def test_check_f_examples():
     two = disjoint_union([complete_graph(3), complete_graph(3)])
     holds, ledger = check_f_inequality(two, 4)
     assert holds and ledger.vertex_sum == ledger.total == 3
+
+
+def test_f_vertex_rejects_a_large_connected_matching_its_partitions_pass():
+    # A triangle with a pendant edge at each corner has nu = 3; with S
+    # empty, Q the triangle and I the pendant ends, verify_sqi passes at n = 4.
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
+    parts = [SQIPartition(frozenset(), frozenset({0, 1, 2}), frozenset({3, 4, 5}), 4)]
+    with pytest.raises(HasConnectedMatchingError):
+        f_vertex(g, 4, parts)
+
+
+def test_check_f_runs_one_matching_per_large_component(monkeypatch):
+    # The partition pass decides the input class: one maximum matching for
+    # each component on n or more vertices, none for the smaller ones, and
+    # no guard of its own.
+    orders = count_max_matchings(monkeypatch)
+    guards = []
+    guard = matching_module.max_connected_matching
+
+    def counting_guard(*args):
+        guards.append(args)
+        return guard(*args)
+
+    monkeypatch.setattr(matching_module, "max_connected_matching", counting_guard)
+    g = disjoint_union([star_graph(5), star_graph(4), path_graph(2)])
+    holds, _ = check_f_inequality(g, 4)
+    assert holds
+    assert orders == [6, 5]
+    assert guards == []
+
+
+def test_check_f_names_the_largest_connected_matching():
+    # The partition pass rejects the path first; the error still names the
+    # K_6's matching of size 3.
+    g = disjoint_union([path_graph(4), complete_graph(6)])
+    with pytest.raises(HasConnectedMatchingError) as exc:
+        check_f_inequality(g, 4)
+    assert str(exc.value) == "graph has a connected matching of size 3 >= 2"
+
+
+@pytest.mark.parametrize("n", [5, 3, 0, -2])
+def test_check_f_rejects_odd_or_nonpositive_n(n):
+    with pytest.raises(OddNError):
+        check_f_inequality(star_graph(3), n)
 
 
 def test_classify_star_triangle():
