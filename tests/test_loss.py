@@ -17,6 +17,7 @@ from cmstruct import (
     complete_graph,
     component_partitions,
     disjoint_union,
+    erdos_gallai_check,
     f_graph,
     f_vertex,
     path_graph,
@@ -139,6 +140,12 @@ def test_check_f_runs_one_matching_per_large_component(monkeypatch):
     assert holds
     assert orders == [6, 5]
     assert guards == []
+    # The k = 1 bounds check keeps its guard, which skips the path: two
+    # vertices cannot hold more than the one edge a star already matched.
+    orders.clear()
+    assert erdos_gallai_check(g, 4)[0]
+    assert orders == [6, 5]
+    assert len(guards) == 1
 
 
 def test_check_f_names_the_largest_connected_matching():

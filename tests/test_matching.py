@@ -157,11 +157,99 @@ def count_max_matchings(monkeypatch):
     return calls
 
 
+def record_forest_searches(monkeypatch):
+    searches = []
+    real = matching_module._Forest.augment
+
+    def recording(self, adj, mate, roots, *args, **kwargs):
+        searches.append(tuple(roots))
+        return real(self, adj, mate, roots, *args, **kwargs)
+
+    monkeypatch.setattr(matching_module._Forest, "augment", recording)
+    return searches
+
+
 def test_tutte_berge_runs_one_maximum_matching(monkeypatch):
     calls = count_max_matchings(monkeypatch)
+    searches = record_forest_searches(monkeypatch)
     w = tutte_berge(star_graph(5))
     assert (w.deficiency, w.witness) == (4, frozenset({0}))
     assert len(calls) == 1
+    # The greedy start matches 0-1 and is maximum: one failed search from
+    # all four exposed leaves proves it and gives D, with no search per leaf.
+    assert searches == [(2, 3, 4, 5)]
+
+
+def test_maximality_checks_per_run(monkeypatch):
+    searches = record_forest_searches(monkeypatch)
+    # The path 2-0-1-3: the greedy start matches 0-1 and leaves 2 and 3.
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    # A full matching checks after the start and after the augmentation.
+    assert maximum_matching(g).size == 2
+    assert searches == [(2, 3), (2,), ()]
+    # A run toward a target checks only after a failed try: here the first
+    # try reaches the target, and on the star the failed try is followed
+    # by a check that proves the matching maximum.
+    searches.clear()
+    assert matching_of_size(g, 2).size == 2
+    assert searches == [(2,)]
+    searches.clear()
+    assert matching_of_size(star_graph(3), 2) is None
+    assert searches == [(2,), (2, 3)]
+
+
+def _reference_mates(adj, stop_at=None):
+    """Greedy start, then one single-root forest search per exposed vertex."""
+    n = len(adj)
+    mate = [-1] * n
+    size = 0
+    for v in range(n):
+        if mate[v] == -1:
+            for u in adj[v]:
+                if mate[u] == -1:
+                    mate[v], mate[u] = u, v
+                    size += 1
+                    break
+        if stop_at is not None and size >= stop_at:
+            return mate
+    forest = matching_module._Forest(n)
+    for v in range(n):
+        if stop_at is not None and size >= stop_at:
+            break
+        if mate[v] == -1 and forest.augment(adj, mate, (v,)):
+            size += 1
+    return mate
+
+
+def _assert_mates_match_reference(g):
+    adj = g.adjacency
+    mate, outer = matching_module._max_matching_mates(adj)
+    assert mate == _reference_mates(adj)
+    # The outer vertices returned are those of a failed search from every
+    # exposed vertex of that matching.
+    exposed = [v for v in range(g.vertex_count) if mate[v] == -1]
+    forest = matching_module._Forest(g.vertex_count)
+    assert not forest.augment(adj, mate, exposed, flip=False)
+    assert outer == forest.queue
+    nu = (g.vertex_count - len(exposed)) // 2
+    for stop_at in range(1, nu + 2):
+        early, outer = matching_module._max_matching_mates(adj, stop_at)
+        assert early == _reference_mates(adj, stop_at)
+        if stop_at <= nu:
+            assert outer is None
+
+
+def test_one_check_per_augmentation_keeps_the_single_root_mates():
+    # Stopping at the first failed all-roots search gives the same mates
+    # as trying every exposed vertex alone, with and without stop_at.
+    for n in range(7):
+        for g in all_graphs(n):
+            _assert_mates_match_reference(g)
+    rng = random.Random(37)
+    for _ in range(500):
+        _assert_mates_match_reference(
+            random_graph(rng, rng.randint(1, 30), rng.random() ** 2)
+        )
 
 
 def test_sqi_partition_runs_one_maximum_matching(monkeypatch):
