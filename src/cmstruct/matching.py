@@ -5,22 +5,16 @@ the search kernel above: a BFS that grows alternating trees from a given set
 of exposed roots, contracts blossoms through ``base`` pointers, and flips
 the path it finds, or only reports it when the caller asks for no flip. Its
 arrays are allocated once per ``_Forest`` and reset entry by entry after
-each search. A maximum matching starts greedily, then tries its exposed
-vertices one at a time in ascending id order. Once between two
-augmentations, one search rooted at every exposed vertex that flips
-nothing checks whether an augmenting path is left, and the first that
-fails proves the matching maximum and ends the loop. By Edmonds' lemma
-every try it skips would fail and write nothing, so the matching is the
-one that trying every exposed vertex gives. A full maximum matching runs
-the check right after the greedy start and after each augmentation, so it
-costs the tries up to the last augmentation plus one check per
-augmentation and one more, O(V^3) overall. A matching of a given size runs
-it only after a failed try, since on a run that reaches the size every
-check would succeed in vain. Results are deterministic for a fixed input.
+each search. A maximum matching starts greedily. Then every search is
+rooted at all exposed vertices at once and either flips one augmenting
+path or fails; by Berge's theorem the first that fails proves the matching
+maximum and ends the loop. That is at most V/2 + 1 searches of O(V^2)
+each, O(V^3) overall. A matching of a given size stops as soon as it has
+that many edges. Results are deterministic for a fixed input.
 
 Deficiency witnesses follow Gallai-Edmonds (Lovász-Plummer, *Matching
 Theory*, ch. 3): D is the set of outer vertices of a failed forest search
-rooted at all exposed vertices of a maximum matching. That is the check
+rooted at all exposed vertices of a maximum matching. That is the search
 that ended the matching's loop, so a witness runs no search of its own.
 
 A connected matching is a matching whose edges all lie in one component of
@@ -229,14 +223,13 @@ def _max_matching_mates(
     adj: tuple[tuple[int, ...], ...] | list[list[int]],
     stop_at: int | None = None,
 ) -> tuple[list[int], list[int] | None]:
-    """Mate array of a maximum matching (-1 for exposed vertices), and the
-    outer vertices of the failed forest search rooted at all its exposed
+    """Mate array of a matching (-1 for exposed vertices), and the outer
+    vertices of the failed forest search rooted at all its exposed
     vertices, the search that proved it maximum.
 
-    ``stop_at`` ends the search early once the matching reaches that many
-    edges; the partial matching returned is then of size exactly
-    ``stop_at``. The outer vertices are None if the loop ended without
-    that search, which happens only with ``stop_at``.
+    ``stop_at`` ends the loop once the matching has exactly that many
+    edges. The outer vertices are None iff that target was reached;
+    otherwise the matching is maximum and smaller than the target.
     """
     n = len(adj)
     mate = [-1] * n
@@ -254,38 +247,16 @@ def _max_matching_mates(
         if stop_at is not None and size >= stop_at:
             return mate, None
 
-    # Single-root searches from the exposed vertices in ascending order.
-    # By Edmonds' lemma a vertex with no augmenting path keeps none after
-    # other augmentations, so one try per exposed vertex suffices, and an
-    # augmenting path left has both ends among the exposed vertices not
-    # tried yet. Once between two augmentations, one search from all
-    # exposed vertices that flips nothing decides whether any augmenting
-    # path is left. If none is, every try still to come would fail and
-    # write nothing, so stopping there keeps the mates of the full loop,
-    # and the failed search's outer vertices are D (see ``tutte_berge``).
-    # If one is, a later try finds it, so v stays below n. Without a
-    # target the check comes before the first try after an augmentation,
-    # so the loop ends with it. With a target it comes after the first
-    # failed try: a run toward a target often ends by reaching it, and
-    # there every check would succeed in vain.
+    # Berge's theorem: a matching is maximum iff no augmenting path is
+    # left. Each search, rooted at every exposed vertex, flips one such
+    # path or fails, and the failed one proves the matching maximum with
+    # D as its outer vertices (see ``tutte_berge``).
     forest = _Forest(n)
-    check_after = 0 if stop_at is None else 1  # failed tries before a check
-    v = failed = 0
     while stop_at is None or size < stop_at:
-        if failed == check_after:
-            exposed = [u for u in range(n) if mate[u] == -1]
-            if not forest.augment(adj, mate, exposed, flip=False):
-                return mate, forest.queue
-        while v < n and mate[v] != -1:
-            v += 1
-        if v == n:  # with a target only: no exposed vertex is left to try
-            break
-        if forest.augment(adj, mate, (v,)):
-            size += 1
-            failed = 0
-        else:
-            failed += 1
-        v += 1
+        exposed = [u for u in range(n) if mate[u] == -1]
+        if not forest.augment(adj, mate, exposed):
+            return mate, forest.queue
+        size += 1
     return mate, None
 
 
@@ -301,11 +272,10 @@ def matching_number(g: Graph) -> int:
 
 def matching_of_size(g: Graph, target: int) -> Matching | None:
     """A matching with exactly ``target`` edges, or None if none exists."""
-    mate, _ = _max_matching_mates(g.adjacency, stop_at=target)
-    edges = sorted((v, m) for v, m in enumerate(mate) if m > v)
-    if len(edges) < target:
+    mate, outer = _max_matching_mates(g.adjacency, stop_at=target)
+    if outer is not None:
         return None
-    return Matching(frozenset(edges[:target]))
+    return Matching(frozenset((v, m) for v, m in enumerate(mate) if m > v))
 
 
 def odd_components(g: Graph, removed: frozenset[int] | set[int]) -> list[frozenset[int]]:
@@ -330,8 +300,9 @@ def tutte_berge(g: Graph) -> DeficiencyWitness:
     D collects every vertex missed by at least one maximum matching: the
     outer vertices of one failed forest search rooted at every exposed
     vertex of one maximum matching (the even-alternating reach of the
-    exposed vertices). That search is the one with which
-    ``_max_matching_mates`` proved its matching maximum, so D costs no
+    exposed vertices). D is the same whichever maximum matching is found.
+    The search is the last one of ``_max_matching_mates``' loop, the first
+    from every exposed vertex that finds no augmenting path, so D costs no
     search beyond the matching. The returned set attains the maximum of
     odd_components(G-S) - |S| over all S.
     """

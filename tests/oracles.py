@@ -23,7 +23,8 @@ def adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def brute_matching_number(g: Graph) -> int:
+def _subset_matching_numbers(g: Graph):
+    """Memoized matching number of the subgraph induced by a vertex mask."""
     masks = adjacency_masks(g)
 
     @lru_cache(maxsize=None)
@@ -41,6 +42,11 @@ def brute_matching_number(g: Graph) -> int:
             result = max(result, 1 + best(rest & ~(1 << u)))
         return result
 
+    return best
+
+
+def brute_matching_number(g: Graph) -> int:
+    best = _subset_matching_numbers(g)
     value = best((1 << g.vertex_count) - 1)
     best.cache_clear()
     return value
@@ -80,16 +86,22 @@ def brute_deficiency(g: Graph) -> int:
     return best
 
 
+def brute_inessential(g: Graph) -> frozenset[int]:
+    """The Gallai-Edmonds set D: every vertex whose deletion leaves the
+    matching number unchanged."""
+    best = _subset_matching_numbers(g)
+    full = (1 << g.vertex_count) - 1
+    nu = best(full)
+    d = frozenset(
+        v for v in range(g.vertex_count) if best(full & ~(1 << v)) == nu
+    )
+    best.cache_clear()
+    return d
+
+
 def brute_gallai_edmonds(g: Graph) -> frozenset[int]:
-    """The Gallai-Edmonds set A = N(D) minus D, where D holds every vertex
-    whose deletion leaves the matching number unchanged."""
-    nu = brute_matching_number(g)
-    d = set()
-    for v in range(g.vertex_count):
-        # Isolating v has the same matching number as deleting it.
-        rest = Graph(g.vertex_count, frozenset(e for e in g.edges if v not in e))
-        if brute_matching_number(rest) == nu:
-            d.add(v)
+    """The Gallai-Edmonds set A = N(D) minus D."""
+    d = brute_inessential(g)
     return frozenset(u for v in d for u in g.neighbors(v) if u not in d)
 
 

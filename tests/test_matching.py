@@ -35,6 +35,7 @@ from .oracles import (
     brute_deficiency,
     brute_gallai_edmonds,
     brute_has_mono_cm,
+    brute_inessential,
     brute_matching_number,
     has_augmenting_path,
 )
@@ -184,72 +185,106 @@ def test_maximality_checks_per_run(monkeypatch):
     searches = record_forest_searches(monkeypatch)
     # The path 2-0-1-3: the greedy start matches 0-1 and leaves 2 and 3.
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
-    # A full matching checks after the start and after the augmentation.
+    # The search from both ends flips 2-0-1-3; the one from no exposed
+    # vertex fails and proves the perfect matching maximum.
     assert maximum_matching(g).size == 2
-    assert searches == [(2, 3), (2,), ()]
-    # A run toward a target checks only after a failed try: here the first
-    # try reaches the target, and on the star the failed try is followed
-    # by a check that proves the matching maximum.
+    assert searches == [(2, 3), ()]
+    # A run toward a target stops once it is reached, with no failed search.
     searches.clear()
     assert matching_of_size(g, 2).size == 2
-    assert searches == [(2,)]
+    assert searches == [(2, 3)]
+    # On the star the first search fails: the target is out of reach.
     searches.clear()
     assert matching_of_size(star_graph(3), 2) is None
-    assert searches == [(2,), (2, 3)]
+    assert searches == [(2, 3)]
 
 
-def _reference_mates(adj, stop_at=None):
-    """Greedy start, then one single-root forest search per exposed vertex."""
-    n = len(adj)
-    mate = [-1] * n
-    size = 0
-    for v in range(n):
-        if mate[v] == -1:
-            for u in adj[v]:
-                if mate[u] == -1:
-                    mate[v], mate[u] = u, v
-                    size += 1
-                    break
-        if stop_at is not None and size >= stop_at:
-            return mate
-    forest = matching_module._Forest(n)
-    for v in range(n):
-        if stop_at is not None and size >= stop_at:
-            break
-        if mate[v] == -1 and forest.augment(adj, mate, (v,)):
-            size += 1
-    return mate
+def record_search_outcomes(monkeypatch):
+    outcomes = []
+    real = matching_module._Forest.augment
+
+    def recording(self, *args, **kwargs):
+        found = real(self, *args, **kwargs)
+        outcomes.append(found)
+        return found
+
+    monkeypatch.setattr(matching_module._Forest, "augment", recording)
+    return outcomes
 
 
-def _assert_mates_match_reference(g):
-    adj = g.adjacency
-    mate, outer = matching_module._max_matching_mates(adj)
-    assert mate == _reference_mates(adj)
-    # The outer vertices returned are those of a failed search from every
-    # exposed vertex of that matching.
-    exposed = [v for v in range(g.vertex_count) if mate[v] == -1]
-    forest = matching_module._Forest(g.vertex_count)
-    assert not forest.augment(adj, mate, exposed, flip=False)
-    assert outer == forest.queue
-    nu = (g.vertex_count - len(exposed)) // 2
-    for stop_at in range(1, nu + 2):
-        early, outer = matching_module._max_matching_mates(adj, stop_at)
-        assert early == _reference_mates(adj, stop_at)
-        if stop_at <= nu:
-            assert outer is None
+def _matching_edges(g, mate):
+    """The edges of a mate array, checked to form a matching of ``g``."""
+    assert all(m == -1 or mate[m] == v for v, m in enumerate(mate))
+    edges = [(v, m) for v, m in enumerate(mate) if m > v]
+    assert all(g.has_edge(v, m) for v, m in edges)
+    return edges
 
 
-def test_one_check_per_augmentation_keeps_the_single_root_mates():
-    # Stopping at the first failed all-roots search gives the same mates
-    # as trying every exposed vertex alone, with and without stop_at.
+def _proved_maximum(adj, mate):
+    """Berge: a matching is maximum iff a fresh search rooted at all its
+    exposed vertices finds no augmenting path."""
+    exposed = [v for v, m in enumerate(mate) if m == -1]
+    forest = matching_module._Forest(len(adj))
+    return not forest.augment(adj, mate, exposed, flip=False)
+
+
+def _certified_matching_number(g):
+    mate, _ = matching_module._max_matching_mates(g.adjacency)
+    assert _proved_maximum(g.adjacency, mate)
+    return len(_matching_edges(g, mate))
+
+
+def _inessential_by_definition(g, nu):
+    """D: the vertices whose isolation leaves the matching number at ``nu``."""
+    return frozenset(
+        v
+        for v in range(g.vertex_count)
+        if _certified_matching_number(
+            Graph(g.vertex_count, [e for e in g.edges if v not in e])
+        ) == nu
+    )
+
+
+def _run_loop(g, outcomes, stop_at):
+    """Size and outer vertices of one run of the augmentation loop."""
+    outcomes.clear()
+    mate, outer = matching_module._max_matching_mates(g.adjacency, stop_at)
+    # Every search but the last augments; the last fails iff it proved the
+    # matching maximum.
+    assert False not in outcomes[:-1]
+    assert (False in outcomes) == (outer is not None)
+    if outer is not None:
+        assert _proved_maximum(g.adjacency, mate)
+    return len(_matching_edges(g, mate)), outer
+
+
+def _check_augmentation_loop(g, outcomes, small):
+    nu, outer = _run_loop(g, outcomes, None)
+    if small:
+        assert nu == brute_matching_number(g)
+        inessential = brute_inessential(g)
+    else:
+        inessential = _inessential_by_definition(g, nu)
+    assert set(outer) == inessential
+    for stop_at in range(1, nu + 1):
+        assert _run_loop(g, outcomes, stop_at) == (stop_at, None)
+    size, outer = _run_loop(g, outcomes, nu + 1)
+    assert size == nu
+    assert set(outer) == inessential
+
+
+def test_augmentation_loop_against_oracles(monkeypatch):
+    # Each run returns a matching of g: a maximum one with D as the outer
+    # vertices of its last search, or one of exactly stop_at edges while
+    # stop_at <= nu.
+    outcomes = record_search_outcomes(monkeypatch)
     for n in range(7):
         for g in all_graphs(n):
-            _assert_mates_match_reference(g)
+            _check_augmentation_loop(g, outcomes, small=True)
     rng = random.Random(37)
     for _ in range(500):
-        _assert_mates_match_reference(
-            random_graph(rng, rng.randint(1, 30), rng.random() ** 2)
-        )
+        g = random_graph(rng, rng.randint(1, 30), rng.random() ** 2)
+        _check_augmentation_loop(g, outcomes, small=False)
 
 
 def test_sqi_partition_runs_one_maximum_matching(monkeypatch):
