@@ -11,7 +11,9 @@ and normalize all they are given; no module of the package calls them.
 Its own graphs and colorings are valid by construction and come from
 ``_graph`` and ``_colored``, which set fields through ``_build`` and check
 only for a negative order: parsed ones (``parse_graph`` checks each line
-as it reads it), color classes, ``induced_coloring``, the generated graphs
+as it reads it, converting and range-checking each distinct numeral once
+per call through its tables of known vertex-id and color numerals),
+color classes, ``induced_coloring``, the generated graphs
 (``complete_graph``, ``star_graph``, ``path_graph``, ``cycle_graph``,
 ``disjoint_union``), ``per_color``'s edgeless class, ``serialize``'s
 default coloring, the seeded ``constructions`` and the search's avoiders;
@@ -53,8 +55,9 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 def _rows(n: int, edges: Collection[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     """Sorted adjacency rows on ``0..n-1`` of normalized, distinct
-    ``edges``, a dict or a list: in the ascending order callers give,
-    each row fills sorted, which a frozenset's order would not keep."""
+    ``edges``, a dict or a list, in any order: every row is sorted once
+    it is filled, so ``parse_graph``'s file order gives the same rows as
+    the ascending order of the generators."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -423,26 +426,50 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring]:
     Most lines of a file are edge lines, so the loop tests first for a
     four-field ``e`` line after the header; headers, comments and malformed
     lines take the other branches.
+
+    A file repeats few distinct numerals many times (the affine plane of
+    order 13 has 42,588 numerals but 169 vertex ids and 14 colors), so one
+    call keeps two tables: ``ids`` maps each numeral already read as a
+    vertex id to its int, checked to lie in ``0..N-1``, and ``colors`` each
+    numeral already read as a color to its int, checked to lie in
+    ``1..k``. A line whose three numerals are all known needs only the
+    self-loop and duplicate tests; any other line, and a self-loop, is
+    converted and checked in full, and only once it passes are its
+    numerals recorded. So every error keeps its line, message and
+    precedence, and numerals spelled apart (``1``, ``01``, ``+1``) are
+    separate keys with one int.
     """
     vertex_count = None
     color_count = None
     assignment: dict[tuple[int, int], int] = {}
+    ids: dict[str, int] = {}
+    colors: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if len(parts) == 4 and parts[0] == "e" and vertex_count is not None:
             try:
-                u, v, color = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphFormatError(
-                    f"bad edge line {raw.strip()!r}", lineno
-                ) from None
-            if not (
-                u != v
-                and 0 <= u < vertex_count
-                and 0 <= v < vertex_count
-                and 0 < color <= color_count
-            ):
-                raise _edge_bounds_error(u, v, color, vertex_count, color_count, lineno)
+                u, v, color = ids[parts[1]], ids[parts[2]], colors[parts[3]]
+            except KeyError:
+                u = v = None
+            if u == v:
+                # A numeral not in the tables, or a self-loop: convert and
+                # check the line in full, then record its numerals.
+                try:
+                    u, v, color = int(parts[1]), int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise GraphFormatError(
+                        f"bad edge line {raw.strip()!r}", lineno
+                    ) from None
+                if not (
+                    u != v
+                    and 0 <= u < vertex_count
+                    and 0 <= v < vertex_count
+                    and 0 < color <= color_count
+                ):
+                    raise _edge_bounds_error(
+                        u, v, color, vertex_count, color_count, lineno
+                    )
+                ids[parts[1]], ids[parts[2]], colors[parts[3]] = u, v, color
             key = (u, v) if u < v else (v, u)
             if key in assignment:
                 raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)

@@ -128,6 +128,16 @@ def test_parse_errors_carry_line_numbers():
         ("p cm 3 2\ne 0 1 3\n", 2, "color 3 outside 1..2"),
         ("p cm 3 2\ne 0 1 0\n", 2, "color 0 outside 1..2"),
         ("p cm 3 1\ne 0 1 1\n\ne 1 0 1\n", 4, "duplicate edge (1, 0)"),
+        # Through the per-call numeral tables: a line whose numerals are all
+        # known, a line with one unknown spelling of a known id, a numeral
+        # known only in the other role, as a color or as an id, and a bad
+        # numeral after known ones.
+        ("p cm 3 1\ne 1 2 1\ne 02 01 1\n", 3, "duplicate edge (2, 1)"),
+        ("p cm 3 1\ne 0 1 1\ne 1 01 1\n", 3, "self-loop at vertex 1"),
+        ("p cm 3 1\ne 0 1 1\ne 1 1 1\n", 3, "self-loop at vertex 1"),
+        ("p cm 3 4\ne 0 1 4\ne 4 0 1\n", 3, "vertex id out of range 0..2"),
+        ("p cm 5 2\ne 0 4 1\ne 0 1 4\n", 3, "color 4 outside 1..2"),
+        ("p cm 3 2\ne 0 1 2\ne 1 2 x\n", 3, "bad edge line 'e 1 2 x'"),
         ("# only a comment\n", 1, "missing 'p cm <N> <k>' header"),
         ("", 1, "missing 'p cm <N> <k>' header"),
     ],
@@ -153,13 +163,18 @@ def test_roundtrip_seeded_random_colorings():
 
 
 def test_parse_mixed_layout_matches_the_checking_constructors():
-    # Comments, blank lines, extra whitespace and reversed endpoints between
-    # the edge lines change nothing: the graph, the order of the assignment
-    # and the by-color index equal those of Graph and EdgeColoring given
-    # the same records in the same order.
+    # Comments, blank lines, extra whitespace, reversed endpoints and
+    # numerals spelled with a leading 0 or + change nothing: the graph, the
+    # order of the assignment and the by-color index equal those of Graph
+    # and EdgeColoring given the same records in the same order. A numeral
+    # spelled apart misses the parser's numeral tables where the plain
+    # spelling of the same int hits them, so lines that hit and lines that
+    # miss must name the same vertices and colors.
     rng = random.Random(2411)
     fillers = ["", "   ", "\t", "# comment", "#", "  # indented comment"]
-    layouts = ["e {} {} {}", " e\t{}  {} {} ", "e {}\t{}\t{}"]
+    layouts = [
+        "e {} {} {}", " e\t{}  {} {} ", "e {}\t{}\t{}", "e 0{} +{} {}", "e +{} {} 0{}",
+    ]
     for _ in range(150):
         n = rng.randint(0, 12)
         k = rng.randint(1, 5)
