@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .graphs import EdgeColoring, Graph, components, induced_coloring, per_color
+from .graphs import EdgeColoring, Graph, induced_coloring, per_color
 from .loss import VertexClass, classify_vertices, f_graph
 
 
@@ -33,7 +33,7 @@ def erdos_gallai_check(g: Graph, n: int) -> tuple[bool, Fraction]:
 
 def _largest_mono_component(g: Graph, coloring: EdgeColoring) -> int:
     """Order of the largest component of any color class (0 on no vertices)."""
-    sizes = per_color(g, coloring, lambda cls: max(components(cls).sizes, default=0))
+    sizes = per_color(g, coloring, lambda cls: max(cls.sizes, default=0))
     return max(sizes.values())
 
 

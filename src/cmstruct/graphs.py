@@ -15,18 +15,27 @@ as it reads it, converting and range-checking each distinct numeral once
 per call through its tables of known vertex-id and color numerals),
 color classes, ``induced_coloring``, the generated graphs
 (``complete_graph``, ``star_graph``, ``path_graph``, ``cycle_graph``,
-``disjoint_union``), ``per_color``'s edgeless class, ``serialize``'s
-default coloring, the seeded ``constructions`` and the search's avoiders;
-``Graph.induced`` relabels a checked adjacency. Only this
-module lays out the fields, sorted adjacency rows (``_rows``) and the
-by-color index (``_index``), so ``color_class`` and the detector's
-pre-check ``_spans`` read only the edges of their color, O(E_c), and
-``Graph.induced`` walks only the adjacency of the chosen vertices.
+``disjoint_union``), the component subgraphs of ``color_components``,
+``serialize``'s default coloring, the seeded ``constructions`` and the
+search's avoiders; ``Graph.induced`` relabels a checked adjacency. Only
+this module lays out the fields, sorted adjacency rows (``_rows``) and
+the by-color index (``_index``), so ``color_class``, the detector's
+pre-check ``_spans`` and ``color_components`` read only the edges of
+their color, and ``Graph.induced`` walks only the adjacency of the chosen
+vertices.
+
+``per_color`` is the one pass over the color classes, and it builds no
+class: ``color_components`` splits a class into its components by a
+union-find over the color's edges, O(V + E_c), and builds the subgraph
+of a component only when asked. The detector (``matching.find_mono_cm``)
+still builds a class through ``color_class`` for each color that
+``_spans`` finds a component on n vertices in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping, TypeVar
 
 from .errors import ColorRangeError, GraphFormatError
@@ -298,6 +307,89 @@ def color_class(g: Graph, coloring: EdgeColoring, color: int) -> Graph:
     return _graph(g.vertex_count, kept)
 
 
+@dataclass(frozen=True, eq=False)
+class ClassComponents:
+    """The components of one color class, split without building the class.
+
+    ``components`` holds every component, isolated vertices included, as a
+    sorted vertex tuple, in ascending order of smallest vertex (the order of
+    ``components(color_class(...)).vertex_sets()``).
+    """
+
+    vertex_count: int
+    components: tuple[tuple[int, ...], ...]
+    _edges: list[tuple[int, int]] = field(repr=False, compare=False)
+    # Smallest vertex of each vertex's component.
+    _root: list[int] = field(repr=False, compare=False)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._edges)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.components))
+
+    def induced(self, comp: tuple[int, ...]) -> tuple[Graph, tuple[int, ...]]:
+        """The class induced on ``comp``, one of ``components``, relabeled
+        as ``Graph.induced`` does, with ``comp`` as its id tuple.
+
+        The class's edges are grouped by component on the first call, so
+        all calls together cost O(V + E_c).
+        """
+        index = {orig: j for j, orig in enumerate(comp)}
+        # comp is sorted, so index keeps the order of each (low, high) edge.
+        edges = [(index[u], index[v]) for u, v in self._by_root.get(comp[0], ())]
+        return _graph(len(comp), edges), comp
+
+    @cached_property
+    def _by_root(self) -> dict[int, list[tuple[int, int]]]:
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for e in self._edges:
+            groups.setdefault(self._root[e[0]], []).append(e)
+        return groups
+
+
+def color_components(g: Graph, coloring: EdgeColoring, color: int) -> ClassComponents:
+    """The components of ``color_class(g, coloring, color)``, from the same
+    edges, O(V + E_c): no class, no adjacency rows and no search."""
+    if not 1 <= color <= coloring.color_count:
+        raise ColorRangeError(f"color {color} outside 1..{coloring.color_count}")
+    edges = g.edges
+    kept = [e for e in coloring._by_color.get(color, ()) if e in edges]
+    return _split(g.vertex_count, kept)
+
+
+def _split(n: int, edges: list[tuple[int, int]]) -> ClassComponents:
+    """``ClassComponents`` of the graph on ``0..n-1`` with normalized,
+    distinct ``edges``, by a union-find kept in a list.
+
+    Each union hangs the larger root under the smaller one and each find
+    halves its path, so every pointer leads to a smaller vertex and a root
+    is its component's smallest vertex. One ascending pass then settles
+    each vertex's root from its parent's, already settled, and lists the
+    components in order, each sorted.
+    """
+    root = list(range(n))
+    for u, v in edges:
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        r = root[v] = root[root[v]]
+        if r == v:
+            members[v] = [v]
+        else:
+            members[r].append(v)
+    return ClassComponents(n, tuple(map(tuple, members.values())), edges, root)
+
+
 def _spans(g: Graph, coloring: EdgeColoring, color: int, order: int) -> bool:
     """Whether the edges of ``color`` that lie in ``g`` join ``order`` or
     more vertices into one component.
@@ -342,18 +434,19 @@ def induced_coloring(
 
 
 def per_color(
-    g: Graph, coloring: EdgeColoring, fn: Callable[[Graph], T]
+    g: Graph, coloring: EdgeColoring, fn: Callable[[ClassComponents], T]
 ) -> dict[int, T]:
-    """``fn`` of every color class of ``g``, keyed by color ``1..k``.
+    """``fn`` of the components of every color class of ``g`` (see
+    ``color_components``), keyed by color ``1..k``.
 
-    All colors that no edge uses share one edgeless class and one ``fn``
-    call, so the calls number the used colors plus at most one.
+    All colors that no edge uses share one all-singletons record and one
+    ``fn`` call, so the calls number the used colors plus at most one.
     """
-    used = {c: fn(color_class(g, coloring, c)) for c in coloring.colors_used()}
+    used = {c: fn(color_components(g, coloring, c)) for c in coloring.colors_used()}
     if len(used) == coloring.color_count:
         return used
-    edgeless = fn(_graph(g.vertex_count, ()))
-    out = dict.fromkeys(range(1, coloring.color_count + 1), edgeless)
+    unused = fn(_split(g.vertex_count, []))
+    out = dict.fromkeys(range(1, coloring.color_count + 1), unused)
     out.update(used)
     return out
 

@@ -16,7 +16,11 @@ decide: the deficiency witness of every component on ``n`` or more
 vertices fixes its matching number, and a smaller component cannot hold
 ``n/2`` matching edges. Only when that pass rejects a component does it
 call ``f_graph``, whose error names the largest connected matching. The
-multicolor entries run the detector once, in ``_color_analysis``.
+multicolor entries run the detector once, in ``_color_analysis``, and
+then one pass over the colors' components (``graphs.per_color``), which
+builds no color class; only a component on ``n`` or more vertices is
+built, on its own, for its partition. Folding the guard into that pass
+waits on the benchmark, whose traced run needs detector calls here.
 """
 
 from __future__ import annotations
@@ -27,9 +31,16 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import HasLargeMatchingError, InvalidPartitionError
-from .graphs import EdgeColoring, Graph, components, distinct_with_counts, per_color
+from .graphs import (
+    ClassComponents,
+    EdgeColoring,
+    Graph,
+    components,
+    distinct_with_counts,
+    per_color,
+)
 from .matching import require_no_connected_matching, require_no_monochromatic_cm
-from .partition import SQIPartition, component_partitions, verify_sqi
+from .partition import SQIPartition, _partitions, component_partitions, verify_sqi
 
 
 class VertexClass(enum.Enum):
@@ -79,8 +90,9 @@ class LossLedger:
         )
 
 
-def _loss(g: Graph, n: int, k: int = 1) -> Fraction:
-    """``k * (n-1)/2 * v(G) - e(G)``, with no guard."""
+def _loss(g: Graph | ClassComponents, n: int, k: int = 1) -> Fraction:
+    """``k * (n-1)/2 * v(G) - e(G)``, with no guard; ``g`` may be a color
+    class's components."""
     return Fraction(k * (n - 1), 2) * g.vertex_count - g.edge_count
 
 
@@ -167,13 +179,20 @@ def _color_analysis(
     """S/Q/I partitions and loss f of every color class, each keyed by
     color, from one pass after the detection guard.
 
-    The guard rules out a connected matching of size ``n/2`` in every
-    class, so the losses need no guard of their own. The unused colors
-    share one partition tuple and one loss (see ``graphs.per_color``).
+    The pass reads each color's components from ``per_color`` and builds
+    no class: a component on at most ``n-1`` vertices takes ``Q = V``, and
+    only a larger one is built, on its own, for ``sqi_partition``. The
+    guard rules out a connected matching of size ``n/2`` in every class,
+    so the losses need no guard of their own. The unused colors share one
+    partition tuple and one loss (see ``graphs.per_color``).
     """
     require_no_monochromatic_cm(g, coloring, n)
     analysis = per_color(
-        g, coloring, lambda cls: (tuple(component_partitions(cls, n)), _loss(cls, n))
+        g,
+        coloring,
+        lambda cls: (
+            tuple(_partitions(cls.components, n, cls.induced)), _loss(cls, n)
+        ),
     )
     partitions = {c: parts for c, (parts, _) in analysis.items()}
     losses = {c: f for c, (_, f) in analysis.items()}

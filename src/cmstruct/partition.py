@@ -14,15 +14,18 @@ deficiency witness: S is the witness set, I picks one vertex from every odd
 component of G-S except the largest, and vertices move from I to Q until
 condition 1 holds with equality.
 
-``component_partitions`` partitions every component of a graph. A component
-on at most ``n-1`` vertices is small, so its partition is its vertex set
-taken as Q: it costs O(V) and builds no subgraph. Only the components on
-``n`` or more vertices get an induced subgraph and a deficiency witness.
+``component_partitions`` partitions every component of a graph, and the
+multicolor pass in ``loss`` partitions every component of each color class
+from ``graphs.per_color``'s records; both go through ``_partitions``, the
+one home of the rule: a component on at most ``n-1`` vertices is small,
+so its partition is its vertex set taken as Q, which costs O(V) and builds
+no subgraph. Only the components on ``n`` or more vertices get an induced
+subgraph and a deficiency witness.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -243,12 +246,29 @@ def component_partitions(g: Graph, n: int) -> list[SQIPartition]:
     graph, and HasLargeMatchingError if any component has a matching of
     size ``n/2``.
     """
+    return _partitions(components(g).vertex_sets(), n, g.induced)
+
+
+def _partitions(
+    comps: Iterable[Collection[int]],
+    n: int,
+    induced: Callable[[Collection[int]], tuple[Graph, Sequence[int]]],
+) -> list[SQIPartition]:
+    """The partition of each of ``comps``, the components of one graph, in
+    its ids; ``induced(comp)`` gives a component's relabeled subgraph and
+    id tuple, as ``Graph.induced`` does.
+
+    The one home of the small/large rule: a component on at most ``n-1``
+    vertices takes ``Q = V`` and gets no subgraph; a larger one gets
+    ``sqi_partition`` of its subgraph. ``n`` is checked first, whatever the
+    components.
+    """
     require_even_n(n)
     result = []
-    for comp in components(g).vertex_sets():
-        p = _small_partition(comp, n)
+    for comp in comps:
+        p = _small_partition(frozenset(comp), n)
         if p is None:
-            sub, ids = g.induced(comp)
+            sub, ids = induced(comp)
             p = sqi_partition(sub, n).relabel(ids)
         result.append(p)
     return result

@@ -135,8 +135,9 @@ def test_loss_check_machine_lines(tmp_path, capsys):
 
 
 def _wrap_color_analysis(monkeypatch, wrap):
-    """Pass each (class, partitions, loss) of loss's one per-color pass
-    through ``wrap``, which returns the (partitions, loss) to keep."""
+    """Pass each (components record, partitions, loss) of loss's one
+    per-color pass through ``wrap``, which returns the (partitions, loss)
+    to keep."""
     real = loss.per_color
     monkeypatch.setattr(
         loss, "per_color",
@@ -148,7 +149,7 @@ def test_loss_check_sums_one_loss_for_all_unused_colors(tmp_path, capsys, monkey
     calls = []
 
     def counting(cls, parts, f):
-        calls.append(cls.edge_count)
+        calls.append((cls.edge_count, cls.components))
         return parts, f
 
     _wrap_color_analysis(monkeypatch, counting)
@@ -156,7 +157,10 @@ def test_loss_check_sums_one_loss_for_all_unused_colors(tmp_path, capsys, monkey
     path.write_text("p cm 5 100000\ne 0 1 3\n")
     code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
     assert code == 0
-    assert sorted(calls) == [0, 1]
+    # Color 3's record and one all-singletons record for the other colors.
+    assert sorted(calls) == [
+        (0, ((0,), (1,), (2,), (3,), (4,))), (1, ((0, 1), (2,), (3,), (4,)))
+    ]
     assert "additivity over colors: HOLDS" in out
 
 
@@ -217,22 +221,30 @@ def count_class_builds_and_guards(monkeypatch):
     ],
     ids=["unused-colors", "affine-3"],
 )
-def test_loss_check_builds_each_used_class_twice_and_runs_no_matching_guard(
+def test_loss_check_builds_classes_only_on_detector_hits(
     tmp_path, capsys, monkeypatch, text
 ):
-    # The detector builds at most each used class once (only those with a
-    # component on n vertices) and the per-color pass once more; the
-    # additivity line reads the losses of that pass, so no class is checked
-    # for a connected matching again.
+    # The detector builds a class only for a color whose edges join n
+    # vertices (neither case has one); the per-color pass builds none, and
+    # the additivity line reads the losses of that pass, so no class is
+    # checked for a connected matching again.
     counts = count_class_builds_and_guards(monkeypatch)
+    spans = matching._spans
+    hits = []
+
+    def counting_spans(*args):
+        hits.append(spans(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(matching, "_spans", counting_spans)
     path = tmp_path / "colored.g"
     path.write_text(text)
     code, out, _ = run(capsys, ["loss-check", "--n", "4", "--input", str(path)])
     assert code == 0
     assert "additivity over colors: HOLDS" in out
-    used = len(parse_graph(text)[1].colors_used())
+    assert len(hits) == len(parse_graph(text)[1].colors_used())
     assert counts["max_connected_matching"] == 0
-    assert 0 < counts["color_class"] <= 2 * used
+    assert counts["color_class"] <= sum(hits) == 0
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from cmstruct.errors import ColorRangeError, GraphFormatError
 from cmstruct.graphs import (
     MAX_COLORS,
     MAX_VERTICES,
+    color_components,
     distinct_with_counts,
     induced_coloring,
     per_color,
@@ -525,10 +526,16 @@ def test_parsed_and_induced_colorings_are_not_checked_again(
     g, coloring = parse_graph("p cm 5 3\ne 0 1 2\ne 3 2 1\ne 4 1 2\n")
     sub, sub_coloring = induced_coloring(g, coloring, [4, 1, 0])
     assert calls == []
-    # Generated graphs, per_color's edgeless class (color 3 is unused) and
-    # serialize's default coloring.
+    # Generated graphs, per_color's records and their component subgraphs
+    # (color 3 is unused) and serialize's default coloring.
     disjoint_union([complete_graph(5), star_graph(4), path_graph(5), cycle_graph(5)])
-    assert per_color(g, coloring, lambda cls: cls.edge_count)[3] == 0
+    subgraphs = per_color(
+        g, coloring, lambda cls: [cls.induced(c)[0] for c in cls.components]
+    )
+    assert [(sub.vertex_count, sub.edge_count) for sub in subgraphs[2]] == [
+        (3, 2), (1, 0), (1, 0)
+    ]
+    assert [(sub.vertex_count, sub.edge_count) for sub in subgraphs[3]] == [(1, 0)] * 5
     assert serialize(g).startswith("p cm 5 1\n")
     assert calls == []
     # The search's avoiders: below n, sequential, from a worker, in a scan.
@@ -616,9 +623,16 @@ def test_induced_rejects_vertex_ids_out_of_range():
 def _recording(calls):
     def fn(cls):
         calls.append(cls)
-        return (cls.vertex_count, cls.edges)
+        return (cls.vertex_count, cls.edge_count, cls.components)
 
     return fn
+
+
+def _class_components(cls):
+    """The vertex count, edge count and sorted component tuples of a class
+    ``Graph``, as ``per_color`` hands them to its function."""
+    comps = tuple(tuple(sorted(s)) for s in components(cls).vertex_sets())
+    return (cls.vertex_count, cls.edge_count, comps)
 
 
 def test_per_color_builds_one_edgeless_class_for_all_unused_colors():
@@ -629,8 +643,8 @@ def test_per_color_builds_one_edgeless_class_for_all_unused_colors():
     result = per_color(g, coloring, _recording(calls))
     assert len(calls) == 2
     assert list(result) == list(range(1, k + 1))
-    assert result[7] == (5, frozenset({(0, 1)}))
-    assert all(result[c] == (5, frozenset()) for c in (1, 6, 8, k))
+    assert result[7] == (5, 1, ((0, 1), (2,), (3,), (4,)))
+    assert all(result[c] == (5, 0, tuple((v,) for v in range(5))) for c in (1, 6, 8, k))
 
 
 def test_per_color_with_every_color_used_calls_fn_once_per_color():
@@ -649,12 +663,40 @@ def test_per_color_matches_a_class_per_declared_color():
         n = rng.randint(0, 9)
         k = rng.randint(1, 6)
         g = random_graph(rng, n, rng.random())
-        # Colors drawn from a random subset, so some colors go unused.
+        # Colors drawn from a random subset, so some colors go unused; the
+        # coloring also covers edges that g lacks.
         palette = rng.sample(range(1, k + 1), rng.randint(1, k))
-        coloring = EdgeColoring(k, {e: rng.choice(palette) for e in g.edges})
-        fn = _recording([])
-        reference = {c: fn(color_class(g, coloring, c)) for c in range(1, k + 1)}
-        assert list(per_color(g, coloring, fn).items()) == list(reference.items())
+        extra = random_graph(rng, n, rng.random() / 2).edges
+        coloring = EdgeColoring(k, {e: rng.choice(palette) for e in g.edges | extra})
+        reference = {
+            c: _class_components(color_class(g, coloring, c)) for c in range(1, k + 1)
+        }
+        assert list(per_color(g, coloring, _recording([])).items()) == list(
+            reference.items()
+        )
+
+
+def test_color_components_induce_the_subgraphs_of_the_class():
+    rng = random.Random(62)
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        k = rng.randint(1, 4)
+        g = random_graph(rng, n, rng.random())
+        extra = random_graph(rng, n, rng.random() / 2).edges
+        coloring = EdgeColoring(k, {e: rng.randint(1, k) for e in g.edges | extra})
+        for color in range(1, k + 1):
+            cls = color_class(g, coloring, color)
+            split = color_components(g, coloring, color)
+            assert split.sizes == components(cls).sizes
+            # Components in reverse order: each first call groups nothing
+            # the others need.
+            for comp in reversed(split.components):
+                sub, ids = split.induced(comp)
+                ref_sub, ref_ids = cls.induced(comp)
+                assert ids == ref_ids == comp
+                assert sub == ref_sub and sub.adjacency == ref_sub.adjacency
+    with pytest.raises(ColorRangeError):
+        color_components(Graph(2, ()), EdgeColoring(2, {}), 3)
 
 
 def test_distinct_with_counts_weighs_shared_values_by_their_colors():

@@ -16,6 +16,7 @@ from cmstruct import (
     color_class,
     complete_graph,
     component_partitions,
+    components,
     disjoint_union,
     erdos_gallai_check,
     f_graph,
@@ -34,6 +35,7 @@ from cmstruct.errors import (
 
 from .generators import avoiding_coloring, avoiding_graph
 from .test_matching import count_max_matchings
+from .test_partition import _covered_component
 
 
 def star_triangle():
@@ -344,17 +346,18 @@ def test_unused_colors_share_one_edgeless_partition(monkeypatch):
     from cmstruct import loss as loss_module
 
     calls = []
-    partitions = loss_module.component_partitions
+    partitions = loss_module._partitions
 
-    def counting(g, n):
-        calls.append(g.edge_count)
-        return partitions(g, n)
+    def counting(comps, n, induced):
+        calls.append(len(comps))
+        return partitions(comps, n, induced)
 
-    monkeypatch.setattr(loss_module, "component_partitions", counting)
+    monkeypatch.setattr(loss_module, "_partitions", counting)
     g = Graph(5, [(0, 1)])
     coloring = EdgeColoring(10**5, {(0, 1): 4})
     classes = classify_vertices(g, coloring, 4)
-    assert len(calls) <= len(coloring.colors_used()) + 1
+    # Color 4's four components, then the five singletons of all the others.
+    assert calls == [4, 5]
     assert classes == classify_vertices(g, EdgeColoring(3, {(0, 1): 2}), 4)
 
 
@@ -378,7 +381,7 @@ def test_classify_reads_shared_partitions_once(monkeypatch):
     real = loss_module.per_color
 
     def counted(g, coloring, fn):
-        # Colors that share one class analysis share its counted tuple.
+        # Colors that share one components record share its counted tuple.
         def analysis(cls):
             parts, f = fn(cls)
             return _CountedTuple(parts, passes), f
@@ -417,3 +420,50 @@ def test_shared_edgeless_partitions_give_the_unshared_ledger(monkeypatch):
         c: tuple(component_partitions(color_class(g, coloring, c), 4))
         for c in range(1, 5)
     }
+
+
+def _covered_coloring(rng: random.Random, n: int):
+    """A host graph and a coloring of it with no monochromatic connected
+    matching of size n/2, on at most 12 vertices and 4 colors.
+
+    Each color in a random subset of ``1..k`` lays disjoint pieces on the
+    vertices, some on n or more vertices (``_covered_component``), keeping
+    only edges no earlier color took: a subgraph of a piece has no larger
+    matching. The coloring also covers some edges the host lacks, and
+    vertices that no piece reaches stay isolated.
+    """
+    v, k = rng.randint(0, 12), rng.randint(1, 4)
+    assignment = {}
+    for color in rng.sample(range(1, k + 1), rng.randint(0, k)):
+        order = rng.sample(range(v), v)
+        while order and rng.random() < 0.8:
+            size = min(len(order), rng.choice((1, 2, n - 1, n, n + 1, n + 3)))
+            ids, order = order[:size], order[size:]
+            for a, b in _covered_component(rng, size, n).edges:
+                assignment.setdefault((min(ids[a], ids[b]), max(ids[a], ids[b])), color)
+    host = [e for e in assignment if rng.random() < 0.85]
+    return Graph(v, host), EdgeColoring(k, assignment)
+
+
+def test_color_analysis_matches_a_class_per_declared_color():
+    from cmstruct.bounds import _largest_mono_component
+
+    rng = random.Random(3707)
+    large = 0
+    for _ in range(250):
+        n = rng.choice((4, 6))
+        g, coloring = _covered_coloring(rng, n)
+        ledger = check_F_inequality(g, coloring, n)[1]
+        largest = 0
+        for c in range(1, coloring.color_count + 1):
+            cls = color_class(g, coloring, c)
+            assert ledger.partitions[c] == tuple(component_partitions(cls, n))
+            assert ledger.color_losses[c] == (
+                Fraction(n - 1, 2) * g.vertex_count - cls.edge_count
+            )
+            sizes = components(cls).sizes
+            largest = max(largest, *sizes, 0)
+            large += sum(s >= n for s in sizes)
+        assert _largest_mono_component(g, coloring) == largest
+    # The cases reach the partition rule's both sides.
+    assert large > 50

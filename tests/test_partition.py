@@ -218,10 +218,15 @@ def test_component_partitions_match_sqi_partition(n, offsets, rnd):
 
 
 def test_component_partitions_on_the_shared_edgeless_class():
-    # Colors 2 and 3 are unused, so per_color hands both one edgeless class.
+    # Colors 2 and 3 are unused, so per_color hands both one all-singletons
+    # record, which the partition rule reads as the edgeless class.
     g = complete_graph(5)
     coloring = EdgeColoring(3, {e: 1 for e in g.edges})
-    parts = per_color(g, coloring, lambda cls: component_partitions(cls, 6))
+    parts = per_color(
+        g,
+        coloring,
+        lambda cls: partition_module._partitions(cls.components, 6, cls.induced),
+    )
     assert parts[2] is parts[3]
     assert parts[2] == _reference_partitions(Graph(5, ()), 6)
     assert parts[2] == [
