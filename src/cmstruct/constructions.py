@@ -153,10 +153,20 @@ def bounded_component_coloring(
     admissible color, i.e. one whose component containing either endpoint
     would not grow beyond ``max_component`` vertices. Inadmissible edges are
     left out of the graph entirely.
+
+    The union-find keeps two lists of ``n_vertices`` entries per color, all
+    laid out before the first edge, so ``(k + 1) * n_vertices`` may not
+    exceed ``C(MAX_VERTICES, 2)``, the edge count of the largest complete
+    graph any generator lays out; larger sizes raise ValueError.
     """
     if n_vertices < 1 or k < 1 or max_component < 1:
         raise ValueError("n_vertices, k, max_component must all be >= 1")
     _check_order(n_vertices)
+    cap = MAX_VERTICES * (MAX_VERTICES - 1) // 2
+    if (k + 1) * n_vertices > cap:
+        raise ValueError(
+            f"(k + 1) * n_vertices must be <= {cap}, got {(k + 1) * n_vertices}"
+        )
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
     rng.shuffle(edges)

@@ -16,11 +16,13 @@ decide: the deficiency witness of every component on ``n`` or more
 vertices fixes its matching number, and a smaller component cannot hold
 ``n/2`` matching edges. Only when that pass rejects a component does it
 call ``f_graph``, whose error names the largest connected matching. The
-multicolor entries run the detector once, in ``_color_analysis``, and
-then one pass over the colors' components (``graphs.per_color``), which
-builds no color class; only a component on ``n`` or more vertices is
-built, on its own, for its partition. Folding the guard into that pass
-waits on the benchmark, whose traced run needs detector calls here.
+multicolor entries make one pass over the colors' components
+(``graphs.per_color``, in ``_color_analysis``), which builds no color
+class; only a component on ``n`` or more vertices is built, on its own,
+for its partition. A connected matching of size ``n/2`` lies in such a
+component, so the pass runs the detector once, just before it partitions
+the first one, and never on a coloring whose components all stay below
+``n`` vertices.
 """
 
 from __future__ import annotations
@@ -177,23 +179,30 @@ def _color_analysis(
     g: Graph, coloring: EdgeColoring, n: int
 ) -> tuple[dict[int, tuple[SQIPartition, ...]], dict[int, Fraction]]:
     """S/Q/I partitions and loss f of every color class, each keyed by
-    color, from one pass after the detection guard.
+    color, from one pass over the colors' components.
 
     The pass reads each color's components from ``per_color`` and builds
     no class: a component on at most ``n-1`` vertices takes ``Q = V``, and
-    only a larger one is built, on its own, for ``sqi_partition``. The
-    guard rules out a connected matching of size ``n/2`` in every class,
-    so the losses need no guard of their own. The unused colors share one
-    partition tuple and one loss (see ``graphs.per_color``).
+    only a larger one is built, on its own, for ``sqi_partition``. A
+    connected matching of size ``n/2`` covers ``n`` vertices of one
+    component, so the detection guard runs once, just before the first
+    color with a component on ``n`` or more vertices is partitioned, and
+    not at all when there is none. It scans every color, so it raises
+    before any ``sqi_partition`` could and names the lowest color that
+    holds such a matching; the losses need no guard of their own. The
+    unused colors share one partition tuple and one loss (see
+    ``graphs.per_color``).
     """
-    require_no_monochromatic_cm(g, coloring, n)
-    analysis = per_color(
-        g,
-        coloring,
-        lambda cls: (
-            tuple(_partitions(cls.components, n, cls.induced)), _loss(cls, n)
-        ),
-    )
+    guarded = False
+
+    def analyze(cls: ClassComponents) -> tuple[tuple[SQIPartition, ...], Fraction]:
+        nonlocal guarded
+        if not guarded and max(cls.sizes, default=0) >= n:
+            require_no_monochromatic_cm(g, coloring, n)
+            guarded = True
+        return tuple(_partitions(cls.components, n, cls.induced)), _loss(cls, n)
+
+    analysis = per_color(g, coloring, analyze)
     partitions = {c: parts for c, (parts, _) in analysis.items()}
     losses = {c: f for c, (_, f) in analysis.items()}
     return partitions, losses

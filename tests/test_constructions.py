@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,28 @@ def test_generators_refuse_orders_above_the_cap(generate):
         generate(MAX_VERTICES + 1)
     with pytest.raises(ValueError, match=f"n_vertices must be <= {MAX_VERTICES}"):
         generate(10**12)
+
+
+def test_bounded_refuses_union_find_tables_above_the_cap():
+    # The union-find lays out k + 1 pairs of N-entry lists: (k + 1) * N may
+    # not exceed the edge count of K_1024, and a larger size is refused
+    # before any list is laid out (k = 10^6 at N = 1,024 would take ~41 GB).
+    cap = MAX_VERTICES * (MAX_VERTICES - 1) // 2
+    # cap // N is the least k refused at N.
+    sizes = [
+        (MAX_VERTICES, 10**6), (MAX_VERTICES, cap // MAX_VERTICES), (16, cap // 16)
+    ]
+    tracemalloc.start()
+    try:
+        for n_vertices, k in sizes:
+            with pytest.raises(
+                ValueError, match=f"\\(k \\+ 1\\) \\* n_vertices must be <= {cap}, got"
+            ):
+                bounded_component_coloring(n_vertices, k, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_affine_refuses_planes_above_the_cap():

@@ -21,6 +21,7 @@ from cmstruct import (
     erdos_gallai_check,
     f_graph,
     f_vertex,
+    parse_graph,
     path_graph,
     star_graph,
 )
@@ -32,10 +33,19 @@ from cmstruct.errors import (
     InvalidPartitionError,
     OddNError,
 )
+from cmstruct.graphs import color_components
 
 from .generators import avoiding_coloring, avoiding_graph
 from .test_matching import count_max_matchings
 from .test_partition import _covered_component
+
+
+# Color 1 is the star at 0 on 6 vertices, color 2 the triangle 1-2-3 and
+# the path 4-5-6.
+HUB_TEXT = (
+    "p cm 7 2\ne 0 1 1\ne 0 2 1\ne 0 3 1\ne 0 4 1\ne 0 5 1\n"
+    "e 1 2 2\ne 1 3 2\ne 2 3 2\ne 4 5 2\ne 5 6 2\n"
+)
 
 
 def star_triangle():
@@ -278,9 +288,101 @@ def test_per_color_analysis_runs_detection_once(monkeypatch, analysis):
         return detect(*args)
 
     monkeypatch.setattr(matching_module, "find_mono_cm", counting)
-    g, coloring = affine_plane_coloring(3)
-    analysis(g, coloring)
+    # Every class of the plane is three triangles: no component reaches
+    # n = 4 vertices, so no class can hold a connected matching of size 2
+    # and the detector does not run.
+    analysis(*affine_plane_coloring(3))
+    assert calls == []
+    # Color 1's star spans 6 vertices: the detector runs once, before that
+    # color is partitioned, and color 2 (two components on 3 vertices)
+    # does not run it again.
+    analysis(*parse_graph(HUB_TEXT))
     assert len(calls) == 1
+
+
+def _sweep_coloring(rng: random.Random) -> tuple[Graph, EdgeColoring, int]:
+    """A seeded colored graph on at most 12 vertices, k <= 4, n in {4, 6}:
+    sparse random colors or components below n vertices, maybe a star on
+    up to n + 1 vertices as a whole component of its color (large, but its
+    matching number is 1), and in about half the cases a monochromatic
+    path on n vertices, in a color above the star's where there is one."""
+    n = rng.choice((4, 6))
+    v = rng.randint(2, 12)
+    k = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        colors = dict(avoiding_coloring(rng, v, k, n)[1].assignment)
+    else:
+        p = rng.random() * 0.3
+        colors = {
+            (a, b): rng.randint(1, k)
+            for a in range(v) for b in range(a + 1, v) if rng.random() < p
+        }
+    star = 0
+    if rng.random() < 0.6:
+        star = rng.randint(1, k)
+        hub, *leaves = rng.sample(range(v), min(v, n + 1))
+        # The star is a whole component of its color: no other edge of that
+        # color touches it.
+        spanned = {hub, *leaves}
+        colors = {
+            e: c for e, c in colors.items() if c != star or spanned.isdisjoint(e)
+        }
+        colors.update(((min(hub, u), max(hub, u)), star) for u in leaves)
+    if v >= n and rng.random() < 0.65:
+        path = rng.sample(range(v), n)
+        color = rng.randint(star + 1 if star < k else 1, k)
+        colors.update(
+            ((min(a, b), max(a, b)), color) for a, b in zip(path, path[1:])
+        )
+    return Graph(v, frozenset(colors)), EdgeColoring(k, colors), n
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HasMonochromaticMatchingError as exc:
+        return type(exc), str(exc)
+
+
+def test_late_detection_guard_matches_guard_first():
+    # The reference runs the detector before the whole analysis; the
+    # analysis itself runs it only before the first color with a component
+    # on n or more vertices.
+    def guard_first(fn):
+        def run(g, coloring, n):
+            matching_module.require_no_monochromatic_cm(g, coloring, n)
+            return fn(g, coloring, n)
+
+        return run
+
+    entries = [
+        classify_vertices,
+        check_F_inequality,
+        lambda g, c, n: audit_coloring(
+            AuditParams(c.color_count, Fraction(1, 2), Fraction(1, 100), n), g, c
+        ),
+    ]
+    rng = random.Random(38)
+    hits = late_hits = large_misses = small_only = 0
+    for _ in range(300):
+        g, coloring, n = _sweep_coloring(rng)
+        for fn in entries:
+            expected = _outcome(guard_first(fn), g, coloring, n)
+            assert _outcome(fn, g, coloring, n) == expected
+        witness = matching_module.find_mono_cm(g, coloring, n)
+        large = [
+            c for c in coloring.colors_used()
+            if max(color_components(g, coloring, c).sizes) >= n
+        ]
+        hits += witness is not None
+        late_hits += witness is not None and witness.color > large[0]
+        large_misses += witness is None and bool(large)
+        small_only += not large
+    # Every kind of input is met: hits (some in a color after the first
+    # one with a large component), large components without a hit, and
+    # colorings whose components all stay below n vertices.
+    assert 120 <= hits <= 180
+    assert min(late_hits, large_misses, small_only) >= 20
 
 
 def test_F_on_affine_plane():
