@@ -16,8 +16,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import constructions, errors, graphs, loss, partition, search
+# Only the layers every command reads are loaded here; each command imports
+# its own layer (search, constructions, partition, loss or bounds), so a
+# process pays only for the one it runs. The module docstring is the
+# `--help` description, so this note is a comment.
+from . import errors, graphs
 from .matching import require_even_n, tutte_berge
 
 EXIT_OK = 0
@@ -115,6 +118,8 @@ def _emit_graph(
 
 
 def _cmd_decompose(args) -> int:
+    from . import partition
+
     g, coloring = _load(args)
     print(f"# cmstruct decompose n={args.n} input={args.input}")
     labeling = graphs.components(g)
@@ -163,6 +168,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_loss_check(args) -> int:
+    from . import loss
+
     g, coloring = _load(args)
     print(f"# cmstruct loss-check n={args.n} input={args.input}")
     if coloring.color_count == 1:
@@ -187,6 +194,8 @@ def _cmd_loss_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import loss
+
     g, coloring = _load(args)
     print(
         f"# cmstruct classify n={args.n} k={coloring.color_count} input={args.input}"
@@ -204,17 +213,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bounds_check(args) -> int:
+    from . import bounds
+
     g, coloring = _load(args)
     print(f"# cmstruct bounds-check n={args.n} input={args.input}")
     if coloring.color_count == 1:
-        ok, slack = bounds_mod.erdos_gallai_check(g, args.n)
+        ok, slack = bounds.erdos_gallai_check(g, args.n)
         print(
             f"edge bound e <= (n-2)/2 v: {'HOLDS' if ok else 'VIOLATED'} "
             f"(e = {g.edge_count}, slack = {_fmt(slack)})"
         )
     else:
         ok = _print_color_slacks(g, coloring, args.n)
-    applicable, sc_holds, sc_slack = bounds_mod.small_components_bound(
+    applicable, sc_holds, sc_slack = bounds.small_components_bound(
         g, coloring, args.n
     )
     if applicable:
@@ -234,6 +245,8 @@ def _print_color_slacks(
     """Print the Erdős–Gallai slack f_c - v/2 of every used color class,
     and once for all unused colors, from the multicolor loss ledger, whose
     detector guards each class; return whether every slack is nonnegative."""
+    from . import loss
+
     losses = loss.check_F_inequality(g, coloring, n)[1].color_losses
     used = coloring.colors_used()
     rows = [(f"color {c}", losses[c]) for c in used]
@@ -255,14 +268,16 @@ def _print_color_slacks(
 
 
 def _cmd_audit(args) -> int:
+    from . import bounds
+
     g, coloring = _load(args)
-    params = bounds_mod.AuditParams(args.k, args.epsilon, args.delta, args.n)
+    params = bounds.AuditParams(args.k, args.epsilon, args.delta, args.n)
     print(
         f"# cmstruct audit n={args.n} k={args.k} "
         f"epsilon={_fmt_ratio(args.epsilon)} delta={_fmt_ratio(args.delta)} "
         f"input={args.input}"
     )
-    report = bounds_mod.audit_coloring(params, g, coloring)
+    report = bounds.audit_coloring(params, g, coloring)
     print("hypotheses:")
     for h in report.hypotheses:
         print(f"  [{'PASS' if h.passed else 'FAIL'}] {h.name} (margin {_fmt(h.margin)})")
@@ -303,6 +318,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+
     if args.generator == "affine":
         g, coloring = constructions.affine_plane_coloring(args.q)
         header = [f"cmstruct construct affine q={args.q} k={coloring.color_count}"]
@@ -340,6 +357,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     budget = args.budget if args.budget is not None else (
         10**12 if args.exhaustive else 10**6
     )
@@ -370,6 +389,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
+    from . import search
+
     result = search.ramsey_cm(args.k, args.n, args.max, args.budget)
     print(
         f"# cmstruct ramsey k={args.k} n={args.n} max={args.max} "

@@ -84,11 +84,14 @@ def disjoint_cliques_coloring(
     been paired with. Returns None when some pair remains uncovered after k
     rounds; with a seed, the vertex order of each round is shuffled. Once
     every pair is covered the remaining rounds could only place singleton
-    blocks, so they are skipped.
+    blocks, so they are skipped. With ``max_clique == 1`` no round covers a
+    pair, so on two or more vertices it returns None before the first.
     """
     if n_vertices < 1 or k < 1 or max_clique < 1:
         raise ValueError("n_vertices, k, max_clique must all be >= 1")
     _check_order(n_vertices)
+    if max_clique == 1 and n_vertices >= 2:
+        return None
     rng = random.Random(seed) if seed is not None else None
     uncovered = {
         (u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)

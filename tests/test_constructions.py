@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from cmstruct.constructions import (
 )
 from cmstruct.errors import NotPrimeError
 from cmstruct.graphs import EdgeColoring, Graph, complete_graph, serialize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_affine_q2_gives_three_perfect_matchings():
@@ -75,6 +81,23 @@ def test_disjoint_cliques_stops_once_every_pair_is_covered():
     assert few is not None and many is not None
     assert many.assignment == few.assignment
     assert max(few.assignment.values()) == 7
+
+
+def test_disjoint_cliques_gives_up_when_no_block_can_hold_a_pair():
+    # Blocks of one vertex cover no pair, so 10^9 rounds would change
+    # nothing; a child process with a timeout turns a hang into a failure.
+    code = (
+        "from cmstruct.constructions import disjoint_cliques_coloring as d; "
+        "print(d(6, 10**9, 1), d(1, 10**9, 1) is not None)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "None True\n", "")
 
 
 def test_disjoint_cliques_respects_block_size():

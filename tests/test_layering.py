@@ -1,9 +1,11 @@
 """Each module of the package imports only modules of a lower layer, only
 ``graphs`` knows how a ``Graph`` and an ``EdgeColoring`` are stored, no
-module calls their checking constructors, and importing the package loads
-no ``multiprocessing``."""
+module calls their checking constructors, each entry point loads only the
+layers it uses (and none loads ``multiprocessing``), and the lazy package
+namespace keeps its public surface."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -98,18 +100,144 @@ def test_no_module_calls_the_checking_constructors():
     assert calls == []
 
 
-def test_importing_the_package_loads_no_multiprocessing():
-    # Only search workers use multiprocessing; it is imported when a pool
-    # starts them, so no other command pays for loading it.
-    code = (
-        "import cmstruct, cmstruct.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
-    )
+def _child(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
     child = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         timeout=60,
     )
-    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+    assert (child.returncode, child.stderr) == (0, "")
+    return child.stdout
+
+
+# A child script's helpers: ``loaded()`` prints the package modules loaded so
+# far, ``main(...)`` runs one command with its stdout dropped, and
+# ``multiprocessing()`` prints every loaded multiprocessing module.
+HELPERS = """
+import contextlib, io, sys
+def loaded():
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "cmstruct"))
+def main(*argv):
+    import cmstruct.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        cmstruct.cli.main(list(argv))
+def multiprocessing():
+    print(sorted(m for m in sys.modules if m.startswith("multiprocessing")))
+"""
+CLI_LAYERS = ["cli", "errors", "graphs", "matching"]
+
+
+def _modules(*names: str) -> str:
+    return str(sorted(["cmstruct", *(f"cmstruct.{name}" for name in names)]))
+
+
+def test_importing_the_package_loads_no_multiprocessing(tmp_path):
+    # Each entry point loads only the layers it uses: the package namespace
+    # is lazy, the CLI module loads the layers every command reads, and each
+    # command imports its own. Only search workers use multiprocessing; it
+    # is imported when a pool starts them, so no entry point here loads it.
+    out = _child(
+        HELPERS
+        + "import cmstruct\nloaded()\n"
+        + "import cmstruct.cli\nloaded()\n"
+        + "main('search', '--n-vertices', '5', '--k', '2', '--n', '4')\nloaded()\n"
+        + "multiprocessing()\n"
+    )
+    assert out.splitlines() == [
+        _modules(),
+        _modules(*CLI_LAYERS),
+        _modules(*CLI_LAYERS, "search"),
+        "[]",
+    ]
+    path = tmp_path / "edge.g"
+    path.write_text("p cm 3 1\ne 0 1 1\n")
+    out = _child(
+        HELPERS
+        + "main('classify', '--n', '4', '--input', sys.argv[1])\nloaded()\n"
+        + "multiprocessing()\n",
+        str(path),
+    )
+    assert out.splitlines() == [_modules(*CLI_LAYERS, "loss", "partition"), "[]"]
+
+
+# The public names of each module, all reexported by the package; the
+# module names themselves are public too.
+PUBLIC = {
+    "bounds": [
+        "AuditParams", "AuditReport", "HypothesisCheck", "audit_coloring",
+        "check_hypotheses", "erdos_gallai_check", "small_components_bound",
+    ],
+    "constructions": [
+        "affine_plane_coloring", "bounded_component_coloring",
+        "disjoint_cliques_coloring", "random_coloring",
+    ],
+    "errors": [],
+    "graphs": [
+        "ComponentLabeling", "EdgeColoring", "Graph", "color_class",
+        "complete_graph", "components", "cycle_graph", "disjoint_union",
+        "parse_graph", "path_graph", "serialize", "star_graph", "to_dot",
+    ],
+    "loss": [
+        "LossLedger", "VertexClass", "check_F_inequality", "check_f_inequality",
+        "classify_vertices", "f_graph", "f_vertex",
+    ],
+    "matching": [
+        "CMWitness", "DeficiencyWitness", "Matching", "check_witness",
+        "find_mono_cm", "matching_number", "max_connected_matching",
+        "matching_of_size", "maximum_matching", "odd_components", "tutte_berge",
+    ],
+    "partition": [
+        "PartitionReport", "SQIPartition", "component_partitions",
+        "partition_edge_bound", "sqi_partition", "verify_sqi",
+    ],
+    "search": [
+        "BUDGET_EXHAUSTED", "CERTIFIED_NONE", "FOUND", "RamseyResult",
+        "SearchConfig", "SearchResult", "ramsey_cm", "search_avoider",
+    ],
+}
+
+# Reads every public name of a fresh package, passed as PUBLIC in argv[1]:
+# the first read goes through the lazy namespace, and must give the home
+# module's object.
+SURFACE = """
+import importlib, json, sys
+import cmstruct
+same = 0
+for home, names in json.loads(sys.argv[1]).items():
+    module = importlib.import_module("cmstruct." + home)
+    same += getattr(cmstruct, home) is module
+    same += sum(getattr(cmstruct, name) is getattr(module, name) for name in names)
+star = {}
+exec("from cmstruct import *", star)
+del star["__builtins__"]
+try:
+    cmstruct.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "all": cmstruct.__all__,
+    "same": same,
+    "star": sorted(star),
+    "star_same": all(star[name] is getattr(cmstruct, name) for name in star),
+    "not_in_dir": sorted(set(cmstruct.__all__) - set(dir(cmstruct))),
+    "unknown": unknown,
+}))
+"""
+
+
+def test_the_package_exports_every_public_name():
+    expected = sorted(name for home, names in PUBLIC.items() for name in [home, *names])
+    assert len(expected) == 64
+    got = json.loads(_child(SURFACE, json.dumps(PUBLIC)))
+    assert got == {
+        "all": expected,
+        "same": 64,
+        "star": expected,
+        "star_same": True,
+        "not_in_dir": [],
+        "unknown": "module 'cmstruct' has no attribute 'no_such_name'",
+    }
